@@ -2,12 +2,16 @@
 //
 // The engine owns the session table, the paged KV pool, a scheduler, and a
 // gpusim::Stream, and advances in discrete steps.  Each step executes the
-// scheduler's plan with the library's real kernels:
-//   * admitted prefills are packed per mask kind into one ragged
-//     mha::varlen_attention batch (one "serve.prefill" launch per kind);
-//   * every active session decodes one token through a single batched
+// scheduler's plan with the library's real kernels, one body per phase:
+//   * prefill: every admission and every chunk is a window [begin, end) of
+//     its session's context, packed per mask kind into one ragged
+//     mha::varlen_attention batch ("serve.prefill" launches).  A whole
+//     prompt is the window [0, len);
+//   * decode: every active session runs one draft-and-verify round of its
+//     true token plus spec_draft_tokens drafts through a single batched
 //     mha::decode_attention_paged call over the KV pool's pages (one
-//     "serve.decode" launch).
+//     "serve.decode" launch, after a "serve.spec.draft" launch when k > 0).
+//     k = 0 is plain decoding: one row per session.
 // The engine clock is *simulated* time: it advances by the Stream's
 // estimate of each step's launches, so throughput and latency numbers are
 // deterministic functions of the trace and the device model — the repo's
@@ -80,7 +84,7 @@ struct EngineConfig {
   /// launch.  The longest accepted draft prefix plus the guaranteed true
   /// token commit; rejected KV slots roll back exactly (KvPool::truncate),
   /// so per-session outputs and digests are byte-identical to plain
-  /// decoding.  0 disables (the legacy decode path, bit-for-bit).
+  /// decoding.  0 is plain decoding: one row per session, no draft pass.
   std::int64_t spec_draft_tokens = 0;
   std::int64_t spec_draft_heads = 1;
   std::int64_t spec_draft_window = 64;
@@ -257,25 +261,18 @@ class Engine {
   /// bytes equal heads [head_offset, ...) of a single-device run.
   void fill_token_local(std::uint64_t seed, std::int64_t pos,
                         TokenChannel channel, std::span<half> dst);
-  double run_prefills(const std::vector<SessionId>& ids,
-                      StepOutcome& outcome);
-  double run_prefill_chunks(const std::vector<PrefillChunk>& chunks,
-                            StepOutcome& outcome);
-  double run_decodes(const std::vector<SessionId>& ids,
-                     StepOutcome& outcome);
-  /// Draft-and-verify decode round (spec_draft_tokens > 0): every selected
-  /// session appends its true token plus up to k draft slots and all rows
-  /// verify in one batched paged-decode launch; the longest accepted
-  /// prefix commits, the rest rolls back via KvPool::truncate.
-  double run_decodes_spec(const std::vector<SessionId>& ids,
-                          StepOutcome& outcome);
-  /// Shared post-decode bookkeeping for the plain and speculative paths:
-  /// count the committed tokens, stamp last_touch, and record first-token
-  /// / completion transitions into `outcome` (times are stamped later by
-  /// finalize_step, once the step's full duration is known).
-  void commit_decoded(SessionId id, std::int64_t committed,
-                      StepOutcome& outcome);
-  void fold_digest(Session& s, std::span<const half> bytes);
+  /// The prefill body: every entry of `windows` ingests positions
+  /// [begin, end) of its session's context, packed per mask kind into one
+  /// ragged varlen launch.  The first `whole` entries are whole-prompt
+  /// admissions (begin == 0) and launch without query windows.
+  double run_prefill(const std::vector<PrefillChunk>& windows,
+                     std::size_t whole, StepOutcome& outcome);
+  /// The decode body, one draft-and-verify round per session: every
+  /// selected session appends its true token plus up to spec_draft_tokens
+  /// draft slots and all rows verify in one batched paged-decode launch;
+  /// the longest accepted prefix commits, the rest rolls back via
+  /// KvPool::truncate.  k = 0 is plain decoding: one row per session.
+  double run_decode(const std::vector<SessionId>& ids, StepOutcome& outcome);
   /// Fold one attention-output row (position `pos`, local heads wide):
   /// `digest_row` enters the session digest, `raw_row` (the untransformed
   /// attention output) fires the on_output_row shard hook — the cluster

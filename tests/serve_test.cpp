@@ -318,6 +318,33 @@ TEST(ServeChunkedPrefill, Int8KvSidecarDigestsMatchSerialInt8) {
   }
 }
 
+TEST(ServeChunkedPrefill, WholePrefillWithSharingEmitsNoChunks) {
+  // A prefix-adopted admission in whole-prefill mode computes only its
+  // unshared suffix, but it is still a whole prefill: the chunk counters
+  // stay zero in whole-prefill mode.
+  telemetry::ScopedTelemetry scoped(true);
+  telemetry::global_registry().reset();
+  Engine engine(small_config(SchedulerMode::kContinuous, 16));
+  ASSERT_TRUE(engine.config().scheduler.prefix_sharing);
+  std::vector<Request> trace;
+  for (std::int64_t i = 0; i < 6; ++i) {
+    Request r{i, 24 + i, 4, 300 + static_cast<std::uint64_t>(i),
+              masks::PatternKind::kCausal, i == 0 ? 0.0 : 50.0};
+    r.template_seed = 9001;
+    r.template_len = 16;
+    trace.push_back(r);
+  }
+  replay(engine, trace);
+  EXPECT_GT(telemetry::global_registry().counter("serve.prefix.hits"), 0);
+  EXPECT_EQ(engine.stats().prefill_chunks, 0);
+  EXPECT_EQ(telemetry::global_registry().counter("serve.sched.chunks_emitted"),
+            0);
+  EXPECT_EQ(telemetry::global_registry().counter("serve.sched.chunk_tokens"),
+            0);
+  EXPECT_EQ(engine.stats().finished, 6);
+  telemetry::global_registry().reset();
+}
+
 // ---- Priorities, deadlines, fairness --------------------------------------
 
 TEST(ServeScheduling, DeadlineMissesAreCounted) {
