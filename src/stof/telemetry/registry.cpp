@@ -1,5 +1,6 @@
 #include "stof/telemetry/registry.hpp"
 
+#include <cmath>
 #include <sstream>
 
 namespace stof::telemetry {
@@ -29,7 +30,22 @@ void write_escaped(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
+/// `value` in units of 2^-kHistogramSumFracBits, rounded to nearest.
+__int128 to_fixed(double value) {
+  if (!(value == value)) return 0;  // NaN
+  constexpr double kMax = 4611686018427387904.0;  // 2^62
+  const double clamped = value > kMax ? kMax : (value < -kMax ? -kMax : value);
+  return static_cast<__int128>(
+      std::round(std::ldexp(clamped, kHistogramSumFracBits)));
+}
+
 }  // namespace
+
+HistogramCell Registry::HistogramAccum::read() const {
+  HistogramCell out = cell;
+  out.sum = std::ldexp(static_cast<double>(sum_fixed), -kHistogramSumFracBits);
+  return out;
+}
 
 int log2_bucket(double value) {
   if (!(value >= 1.0)) return 0;  // NaN and sub-1 values collapse to 0
@@ -65,12 +81,12 @@ void Registry::observe(std::string_view name, double value) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), HistogramCell{}).first;
+    it = histograms_.emplace(std::string(name), HistogramAccum{}).first;
   }
-  HistogramCell& cell = it->second;
+  HistogramCell& cell = it->second.cell;
   ++cell.buckets[log2_bucket(value)];
   ++cell.count;
-  cell.sum += value;
+  it->second.sum_fixed += to_fixed(value);
 }
 
 void Registry::add_duration_us(std::string_view name, double us,
@@ -99,7 +115,7 @@ double Registry::gauge(std::string_view name) const {
 HistogramCell Registry::histogram(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = histograms_.find(name);
-  return it == histograms_.end() ? HistogramCell{} : it->second;
+  return it == histograms_.end() ? HistogramCell{} : it->second.read();
 }
 
 TimerCell Registry::timer(std::string_view name) const {
@@ -120,7 +136,9 @@ std::map<std::string, double> Registry::gauges() const {
 
 std::map<std::string, HistogramCell> Registry::histograms() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {histograms_.begin(), histograms_.end()};
+  std::map<std::string, HistogramCell> out;
+  for (const auto& [name, accum] : histograms_) out.emplace(name, accum.read());
+  return out;
 }
 
 std::map<std::string, TimerCell> Registry::timers() const {
@@ -147,7 +165,7 @@ void Registry::merge_into(Registry& dst) const {
   // global registry may be `dst` while a worker thread records into it).
   std::map<std::string, std::int64_t, std::less<>> counters;
   std::map<std::string, double, std::less<>> gauges;
-  std::map<std::string, HistogramCell, std::less<>> histograms;
+  std::map<std::string, HistogramAccum, std::less<>> histograms;
   std::map<std::string, TimerCell, std::less<>> timers;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -158,17 +176,17 @@ void Registry::merge_into(Registry& dst) const {
   }
   for (const auto& [name, v] : counters) dst.add(name, v);
   for (const auto& [name, v] : gauges) dst.set_gauge(name, v);
-  for (const auto& [name, cell] : histograms) {
+  for (const auto& [name, accum] : histograms) {
     std::lock_guard<std::mutex> lock(dst.mu_);
     auto it = dst.histograms_.find(name);
     if (it == dst.histograms_.end()) {
-      it = dst.histograms_.emplace(name, HistogramCell{}).first;
+      it = dst.histograms_.emplace(name, HistogramAccum{}).first;
     }
     for (int b = 0; b < kHistogramBuckets; ++b) {
-      it->second.buckets[b] += cell.buckets[b];
+      it->second.cell.buckets[b] += accum.cell.buckets[b];
     }
-    it->second.count += cell.count;
-    it->second.sum += cell.sum;
+    it->second.cell.count += accum.cell.count;
+    it->second.sum_fixed += accum.sum_fixed;
   }
   for (const auto& [name, cell] : timers) {
     dst.add_duration_us(name, cell.total_us, cell.count);

@@ -12,7 +12,9 @@
 // seed: they record *what the simulation did*, which is a pure function of
 // its inputs, and every mutation is commutative (sums and bucket counts),
 // so concurrent recording from stof::parallel workers cannot change the
-// final state.  Timer durations are host wall time and are the only
+// final state.  Histogram sums are kept in fixed point for this reason:
+// floating-point addition is not associative, so a double running sum would
+// depend on the order in which concurrent workers observe.  Timer durations are host wall time and are the only
 // nondeterministic content; dump_json() can exclude them so snapshots of
 // identical runs compare byte-for-byte.
 //
@@ -38,8 +40,13 @@ inline constexpr int kHistogramBuckets = 64;
 struct HistogramCell {
   std::uint64_t buckets[kHistogramBuckets] = {};
   std::uint64_t count = 0;
+  /// Sum of the observed values, each rounded to a multiple of
+  /// 2^-kHistogramSumFracBits (NaN counts as 0, magnitudes clamp at 2^62).
   double sum = 0;
 };
+
+/// Fraction bits of the fixed-point histogram sum.
+inline constexpr int kHistogramSumFracBits = 32;
 
 struct TimerCell {
   double total_us = 0;
@@ -94,10 +101,18 @@ class Registry {
   [[nodiscard]] std::string dump_json(const DumpOptions& opts = {}) const;
 
  private:
+  // HistogramCell with its sum held as an exact fixed-point integer, so
+  // the total does not depend on the order of observe() calls.
+  struct HistogramAccum {
+    HistogramCell cell;  // cell.sum unused; read through sum_fixed
+    __int128 sum_fixed = 0;
+    [[nodiscard]] HistogramCell read() const;
+  };
+
   mutable std::mutex mu_;
   std::map<std::string, std::int64_t, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, HistogramCell, std::less<>> histograms_;
+  std::map<std::string, HistogramAccum, std::less<>> histograms_;
   std::map<std::string, TimerCell, std::less<>> timers_;
 };
 

@@ -51,6 +51,28 @@ TEST(Registry, HistogramBucketsFollowLog2Scheme) {
   EXPECT_EQ(h.buckets[2], 2u);
 }
 
+TEST(Registry, HistogramSumIsIndependentOfObservationOrder) {
+  // In double arithmetic (1e16 + 0.1) - 1e16 == 0 but 0.1 + 1e16 - 1e16
+  // keeps the 0.1 only when added last; the fixed-point sum keeps it in
+  // every order, so concurrent observers always agree.
+  Registry a;
+  a.observe("t", 1e16);
+  a.observe("t", 0.1);
+  a.observe("t", -1e16);
+  Registry b;
+  b.observe("t", -1e16);
+  b.observe("t", 1e16);
+  b.observe("t", 0.1);
+  EXPECT_EQ(a.histogram("t").sum, b.histogram("t").sum);
+  EXPECT_NEAR(a.histogram("t").sum, 0.1, 1e-9);
+
+  Registry merged;
+  b.merge_into(merged);
+  a.merge_into(merged);
+  EXPECT_EQ(merged.histogram("t").sum, 2 * a.histogram("t").sum);
+  EXPECT_EQ(merged.histogram("t").count, 6u);
+}
+
 TEST(Registry, TimersAccumulateDurationAndCalls) {
   Registry r;
   r.add_duration_us("phase", 10.0);
