@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "stof/baselines/e2e_plans.hpp"
+#include "stof/core/checksum.hpp"
+#include "stof/graph/builders.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/models/config.hpp"
 #include "stof/models/functional.hpp"
@@ -194,6 +196,41 @@ TEST(FunctionalExecutor, WeightsExposedAndShaped) {
       EXPECT_EQ(w.gamma.shape(), (Shape{node.cols}));
     }
   }
+}
+
+// ---- Pinned detached numerics -----------------------------------------------
+
+// run_detached's output bytes for one small graph of each builder family,
+// frozen to constants.  The detached path is the numerical reference every
+// fused plan is compared against, so a refactor of the per-operator step
+// must leave every byte alone.  The hashes hold for every kernel dispatch
+// table (STOF_FORCE_SCALAR=1 included).
+std::uint64_t detached_hash(const graph::Graph& g, const graph::LayerConfig& lc) {
+  FunctionalExecutor exec(
+      g, mha::MhaDims{lc.batch, lc.heads, lc.seq_len, lc.head_size()},
+      {.kind = PatternKind::kCausal, .seq_len = lc.seq_len}, 77);
+  TensorH input(Shape{lc.rows(), lc.hidden});
+  Rng rng(78);
+  input.fill_random(rng, -0.5f, 0.5f);
+  const TensorH out = exec.run_detached(input);
+  return fnv1a64(out.data().data(), out.data().size() * sizeof(half));
+}
+
+TEST(FunctionalExecutor, DetachedOutputBytesArePinned) {
+  graph::LayerConfig lc;
+  lc.seq_len = 24;
+  lc.hidden = 32;
+  lc.heads = 2;
+  lc.ffn_dim = 64;
+  EXPECT_EQ(detached_hash(graph::build_encoder_graph(lc, 2), lc),
+            0x1049e4802843e3e1ull);
+  EXPECT_EQ(detached_hash(graph::build_decoder_graph(lc, 2), lc),
+            0xb0e8c35369c4e562ull);
+  graph::LayerConfig t5 = lc;
+  t5.activation = graph::OpKind::kRelu;
+  t5.use_bias = false;
+  EXPECT_EQ(detached_hash(graph::build_cross_decoder_graph(t5, 1), t5),
+            0x3f9113c7d66afde8ull);
 }
 
 }  // namespace

@@ -9,9 +9,11 @@
 // byte, changes a hash.  The matrix crosses the scheduling mode (serial,
 // continuous whole prefill, chunked prefill of 16 tokens) with speculation
 // (k = 0 and k = 4) and the model (attention only, GPT 2 layers).  Extra
-// cases cover the INT8 KV tier, prefix sharing in both prefill modes —
-// whole mode admits fresh and prefix-adopted sessions in one step — and a
-// 2-device T5 cluster with speculation.
+// cases cover BERT 2 layers, the INT8 KV tier, prefix sharing in both
+// prefill modes — whole mode admits fresh and prefix-adopted sessions in
+// one step — and a 2-device T5 cluster with speculation.  The layer head
+// (ModelRuntime::transform_rows) is also pinned on its own, per family, at
+// 1 and 3 layers.
 //
 // The hashes are pure functions of the trace and the device model, so they
 // hold for every kernel dispatch table (STOF_FORCE_SCALAR=1 included).
@@ -220,6 +222,47 @@ TEST(ServeLaunchPin, ModeBySpeculationByModelMatrix) {
         expect_pinned(name, run_engine(cfg, trace), want.pin);
       }
     }
+  }
+}
+
+TEST(ServeLaunchPin, WholePrefillBertTwoLayers) {
+  EngineConfig cfg = base_config();
+  cfg.model.kind = ModelKind::kBertEncoder;
+  expect_pinned("whole/k0/bert2", run_engine(cfg, private_trace()),
+                {0xf76a1c489690ef36ull, 0x81455ffe40a8f8a0ull});
+}
+
+TEST(ServeLaunchPin, LayerHeadOutputBytes) {
+  struct HeadPin {
+    ModelKind kind;
+    std::int64_t layers;
+    std::uint64_t hash;
+  };
+  constexpr HeadPin kPins[] = {
+      {ModelKind::kBertEncoder, 1, 0x88c9e6415a08a71full},
+      {ModelKind::kBertEncoder, 3, 0x237171ba481d2ff2ull},
+      {ModelKind::kGptDecoder, 1, 0x99d1ba97b00a5044ull},
+      {ModelKind::kGptDecoder, 3, 0xfe1b8b4c8e90a56bull},
+      {ModelKind::kT5CrossDecoder, 1, 0x6831c115cf7aed7full},
+      {ModelKind::kT5CrossDecoder, 3, 0x62200ad9f17a6f12ull},
+  };
+  for (const HeadPin& p : kPins) {
+    ModelSpec spec;
+    spec.kind = p.kind;
+    spec.layers = p.layers;
+    spec.fused = false;
+    const ModelRuntime head(spec, 4, 16, gpusim::DeviceSpec{},
+                            /*with_weights=*/true);
+    TensorH x(Shape{37, 64});
+    for (std::size_t i = 0; i < x.data().size(); ++i) {
+      x.data()[i] = half(float((i * 2654435761u) % 97) / 48.0f - 1.0f);
+    }
+    head.transform_rows(x);
+    const std::uint64_t got =
+        fnv1a64(x.data().data(), x.data().size() * sizeof(half));
+    EXPECT_EQ(got, p.hash) << to_string(p.kind) << " x" << p.layers
+                           << ": layer head changed; now 0x" << std::hex
+                           << got;
   }
 }
 
