@@ -12,7 +12,6 @@ namespace stof::cluster {
 
 void ClusterConfig::validate() const {
   STOF_EXPECTS(devices >= 1, "a cluster needs at least one device");
-  STOF_EXPECTS(model_layers >= 1);
   STOF_EXPECTS(engine.total_heads == 0 && engine.head_offset == 0,
                "the template engine config must be unsharded");
   STOF_EXPECTS(engine.heads >= devices,
@@ -188,9 +187,9 @@ bool Cluster::step() {
     min_us = std::min(min_us, o->us);
   }
 
-  // Layer-boundary collectives: 2 all-reduces per layer (attention
-  // out-proj + FFN down-proj) over the step's activation rows at model
-  // width.  Every shard charges the same cost onto its own timeline.
+  // Layer-boundary collectives: one all-reduce per row-parallel GEMM of
+  // the model graph over the step's activation rows at model width.  Every
+  // shard charges the same cost onto its own timeline.
   double collective_us = 0;
   const std::int64_t rows =
       outcomes[0]->prefill_tokens + outcomes[0]->decode_rows;
@@ -201,13 +200,11 @@ bool Cluster::step() {
         sizeof(half);
     const CollectiveCost cost = collective_cost(
         CollectiveOp::kAllReduce, config_.link, config_.devices, payload);
-    // With a real ModelSpec the collective count comes from it (T5 adds a
-    // third all-reduce per layer for cross-attention out-proj); otherwise
-    // fall back to the analytic model_layers knob.
-    const serve::ModelSpec& ms = config_.engine.model;
-    const std::int64_t calls =
-        ms.enabled() ? ms.collectives_per_layer() * ms.layers
-                     : 2 * config_.model_layers;
+    // Attention only: one layer's out-proj and FFN down-proj.
+    constexpr std::int64_t kAttentionOnlyAllReduces = 2;
+    const std::int64_t calls = model_head_ != nullptr
+                                   ? model_head_->row_parallel_gemms()
+                                   : kAttentionOnlyAllReduces;
     for (std::int64_t c = 0; c < calls; ++c) {
       for (auto& e : engines_) {
         charge_collective(e->stream_mut(), cost);

@@ -17,16 +17,39 @@
 namespace stof::models {
 namespace {
 
-/// y = x (r, k) * w (k, n), FP32 accumulate, on the packed-FP32 engine.
-TensorH matmul_2d(const TensorH& x, const TensorH& w) {
-  TensorH y(Shape{x.shape()[0], w.shape()[1]});
-  ops::matmul2d(x, w, y);
-  return y;
-}
-
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 }  // namespace
+
+void run_row_op(const graph::Node& node, const NodeWeights& w,
+                const TensorH& in, const TensorH* skip, TensorH& out) {
+  switch (node.kind) {
+    case graph::OpKind::kQkvProj:
+    case graph::OpKind::kOutProj:
+    case graph::OpKind::kFfnGemm:
+      ops::matmul2d(in, w.w, out);
+      return;
+    case graph::OpKind::kBias:
+      ops::bias_add(in, w.bias, out);
+      return;
+    case graph::OpKind::kGelu:
+      ops::gelu_op(in, out);
+      return;
+    case graph::OpKind::kRelu:
+      ops::relu(in, out);
+      return;
+    case graph::OpKind::kResidualAdd:
+      STOF_EXPECTS(skip != nullptr, "a residual add needs its skip operand");
+      ops::residual_add(in, *skip, out);
+      return;
+    case graph::OpKind::kLayerNorm:
+      ops::layernorm(in, w.gamma, w.beta, out);
+      return;
+    default:
+      STOF_CHECK(false, "not a row-local operator (fused nodes never appear "
+                        "in source graphs): " + graph::to_string(node.kind));
+  }
+}
 
 FunctionalExecutor::FunctionalExecutor(graph::Graph g, mha::MhaDims attn_dims,
                                        masks::MaskSpec mask_spec,
@@ -154,46 +177,6 @@ void FunctionalExecutor::run_op(std::int64_t id,
     case graph::OpKind::kInput:
       STOF_CHECK(values[0].numel() > 0, "input value must be provided");
       return;
-    case graph::OpKind::kQkvProj:
-    case graph::OpKind::kOutProj:
-    case graph::OpKind::kFfnGemm:
-#ifndef NDEBUG
-      STOF_CHECK(nw.w.version() == weight_versions_.at(id),
-                 "model weight mutated after load (stale panel cache)");
-#endif
-      values[static_cast<std::size_t>(id)] = matmul_2d(prev(), nw.w);
-      return;
-    case graph::OpKind::kBias: {
-      TensorH y(prev().shape());
-      ops::bias_add(prev(), nw.bias, y);
-      values[static_cast<std::size_t>(id)] = std::move(y);
-      return;
-    }
-    case graph::OpKind::kGelu: {
-      TensorH y(prev().shape());
-      ops::gelu_op(prev(), y);
-      values[static_cast<std::size_t>(id)] = std::move(y);
-      return;
-    }
-    case graph::OpKind::kRelu: {
-      TensorH y(prev().shape());
-      ops::relu(prev(), y);
-      values[static_cast<std::size_t>(id)] = std::move(y);
-      return;
-    }
-    case graph::OpKind::kResidualAdd: {
-      const auto& skip = values[static_cast<std::size_t>(node.skip_from)];
-      TensorH y(prev().shape());
-      ops::residual_add(prev(), skip, y);
-      values[static_cast<std::size_t>(id)] = std::move(y);
-      return;
-    }
-    case graph::OpKind::kLayerNorm: {
-      TensorH y(prev().shape());
-      ops::layernorm(prev(), nw.gamma, nw.beta, y);
-      values[static_cast<std::size_t>(id)] = std::move(y);
-      return;
-    }
     case graph::OpKind::kScoreGemm: {
       // Detached attention path: split QKV, materialize scaled scores.
       TensorH q, k, v;
@@ -284,11 +267,23 @@ void FunctionalExecutor::run_op(std::int64_t id,
       values[static_cast<std::size_t>(id)] = std::move(out);
       return;
     }
-    case graph::OpKind::kFusedMha:
-    case graph::OpKind::kFusedSegment:
-      STOF_CHECK(false, "fused nodes never appear in source graphs");
+    default: {  // the row-local operators; fused kinds are rejected there
+#ifndef NDEBUG
+      if (nw.w.numel() > 0) {
+        STOF_CHECK(nw.w.version() == weight_versions_.at(id),
+                   "model weight mutated after load (stale panel cache)");
+      }
+#endif
+      const TensorH* skip =
+          node.kind == graph::OpKind::kResidualAdd
+              ? &values[static_cast<std::size_t>(node.skip_from)]
+              : nullptr;
+      TensorH y(Shape{prev().shape()[0], node.cols});
+      run_row_op(node, nw, prev(), skip, y);
+      values[static_cast<std::size_t>(id)] = std::move(y);
+      return;
+    }
   }
-  STOF_CHECK(false, "unreachable");
 }
 
 void FunctionalExecutor::run_segment(const fusion::Segment& seg,

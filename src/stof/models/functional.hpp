@@ -38,6 +38,13 @@ struct NodeWeights {
   TensorH beta;   ///< kLayerNorm shift (cols)
 };
 
+/// One row-local operator — GEMM, bias, GELU, ReLU, residual add (with
+/// `skip`) or LayerNorm — from `in` into a preshaped `out`, which may alias
+/// `in` for every kind but the GEMMs.  Shared by FunctionalExecutor's
+/// detached path and serve::ModelRuntime's layer head.
+void run_row_op(const graph::Node& node, const NodeWeights& w,
+                const TensorH& in, const TensorH* skip, TensorH& out);
+
 /// Functional (numerics-producing) executor over one graph + mask.
 class FunctionalExecutor {
  public:

@@ -1,6 +1,10 @@
 #include "stof/models/tune_db.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -62,7 +66,10 @@ std::uint64_t device_fingerprint(const gpusim::DeviceSpec& dev) {
 
 TuneDb::TuneDb(std::string dir) : dir_(std::move(dir)) {
   STOF_EXPECTS(!dir_.empty(), "tuning DB needs a directory");
-  std::filesystem::create_directories(dir_);
+  // A directory that cannot be created acts as an empty, unwritable DB:
+  // every load misses and every store counts a failure.
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
 }
 
 std::string TuneDb::path_for(const TuneKey& key) const {
@@ -76,7 +83,8 @@ std::string TuneDb::path_for(const TuneKey& key) const {
 std::optional<ExecutionPlan> TuneDb::load(const TuneKey& key,
                                           std::int64_t expect_ops) {
   const std::string path = path_for(key);
-  if (!std::filesystem::exists(path)) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) {
     telemetry::count("tunedb.misses");
     return std::nullopt;
   }
@@ -96,7 +104,24 @@ std::optional<ExecutionPlan> TuneDb::load(const TuneKey& key,
 }
 
 void TuneDb::store(const TuneKey& key, const ExecutionPlan& plan) {
-  save_plan_file(plan, path_for(key));
+  // Write a private temp file next to the target, then rename it over the
+  // target: readers see the old entry or the new one, never a torn file.
+  static std::atomic<std::uint64_t> next_tmp{0};
+  const std::string path = path_for(key);
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "_" +
+                          std::to_string(next_tmp++);
+  std::ostringstream body;
+  save_plan(plan, body);
+  std::ofstream os(tmp);  // stream failures set failbit, never throw
+  os << body.str();
+  os.close();
+  std::error_code ec;
+  if (!os.fail()) std::filesystem::rename(tmp, path, ec);
+  if (os.fail() || ec) {
+    std::filesystem::remove(tmp, ec);
+    telemetry::count("tunedb.store_failures");
+    return;
+  }
   telemetry::count("tunedb.store_writes");
 }
 

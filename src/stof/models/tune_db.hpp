@@ -21,7 +21,13 @@
 // `tunedb.verify_failures` and reports a miss, which makes the caller fall
 // back to retuning — a corrupt DB costs time, never correctness.
 //
-// Telemetry: `tunedb.{hits,misses,store_writes,verify_failures}`.
+// store() writes a temp file in the directory and renames it over the
+// entry, so a reader never sees a torn file; an unwritable directory
+// counts a `tunedb.store_failures` and leaves the plan in memory only.
+// TuneDb never throws on I/O.
+//
+// Telemetry: `tunedb.{hits,misses,store_writes,store_failures,
+// verify_failures}`.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +58,7 @@ struct TuneKey {
 
 class TuneDb {
  public:
-  /// Opens (creating if needed) the database directory.
+  /// Opens (creating if possible) the database directory.
   explicit TuneDb(std::string dir);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
@@ -67,7 +73,9 @@ class TuneDb {
   [[nodiscard]] std::optional<ExecutionPlan> load(const TuneKey& key,
                                                   std::int64_t expect_ops);
 
-  /// Persist `plan` under `key` (overwrites).  Counts tunedb.store_writes.
+  /// Persist `plan` under `key` (atomically replaces any entry).  Counts
+  /// tunedb.store_writes, or tunedb.store_failures when the directory is
+  /// not writable; never throws.
   void store(const TuneKey& key, const ExecutionPlan& plan);
 
  private:

@@ -1,5 +1,6 @@
 #include "stof/serve/model_runtime.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -8,9 +9,7 @@
 #include "stof/fusion/templates.hpp"
 #include "stof/masks/mask.hpp"
 #include "stof/mha/attention.hpp"
-#include "stof/ops/elementwise.hpp"
 #include "stof/ops/gemm.hpp"
-#include "stof/ops/normalize.hpp"
 #include "stof/telemetry/telemetry.hpp"
 #include "stof/tuner/search_engine.hpp"
 
@@ -34,6 +33,7 @@ enum class WeightTag : int {
   kBeta2,
   kGamma3,
   kBeta3,
+  kCrossBias,
 };
 
 std::uint64_t weight_stream(std::uint64_t seed, std::int64_t layer,
@@ -97,71 +97,80 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
       heads_(heads),
       head_size_(head_size),
       hidden_(heads * head_size),
-      ffn_(spec.ffn_mult * heads * head_size),
       device_(device),
       device_fp_(models::device_fingerprint(device)) {
   spec_.validate();
   STOF_EXPECTS(spec_.enabled(), "ModelRuntime needs an enabled ModelSpec");
   STOF_EXPECTS(heads_ > 0 && head_size_ > 0);
+  graph_ = build_graph(1);
   if (!spec_.tune_db_dir.empty()) db_.emplace(spec_.tune_db_dir);
   if (!with_weights) return;
 
-  // Fan-in scaled weights keep activations O(1) through arbitrarily many
-  // layers (LayerNorm re-centers between them); the packed GEMM's B panels
-  // convert once here so the first step pays no conversion.
-  const bool bias = spec_.kind != ModelKind::kT5CrossDecoder;
-  const float s_h = 1.0f / std::sqrt(static_cast<float>(hidden_));
-  const float s_f = 1.0f / std::sqrt(static_cast<float>(ffn_));
-  const std::uint64_t seed = spec_.weight_seed;
-  weights_.reserve(static_cast<std::size_t>(spec_.layers));
-  for (std::int64_t l = 0; l < spec_.layers; ++l) {
-    LayerWeights w;
-    w.wo = seeded_tensor(Shape{hidden_, hidden_},
-                         weight_stream(seed, l, WeightTag::kOutProj), s_h);
-    w.wf1 = seeded_tensor(Shape{hidden_, ffn_},
-                          weight_stream(seed, l, WeightTag::kFfnUp), s_h);
-    w.wf2 = seeded_tensor(Shape{ffn_, hidden_},
-                          weight_stream(seed, l, WeightTag::kFfnDown), s_f);
-    if (bias) {
-      w.bo = seeded_tensor(Shape{hidden_},
-                           weight_stream(seed, l, WeightTag::kOutBias), 0.1f);
-      w.bf1 = seeded_tensor(Shape{ffn_},
-                            weight_stream(seed, l, WeightTag::kFfnUpBias),
-                            0.1f);
-      w.bf2 = seeded_tensor(Shape{hidden_},
-                            weight_stream(seed, l, WeightTag::kFfnDownBias),
-                            0.1f);
+  // The head runs every node outside the attention spans (kQkvProj through
+  // kPvGemm).  Weights draw from (weight_seed, layer, tag) streams, the tag
+  // set by the node's place in its layer.  Fan-in scaled weights keep
+  // activations O(1) through any depth (LayerNorm re-centers between
+  // layers); B panels convert once, after every weight is drawn, not on
+  // the first step.
+  const auto per_layer =
+      static_cast<std::int64_t>(graph_.size() - 1) / spec_.layers;
+  bool in_attention = false;
+  int out_projs = 0;
+  int norms = 0;
+  WeightTag bias_tag = WeightTag::kOutBias;
+  for (const graph::Node& node : graph_.nodes()) {
+    if (node.kind == graph::OpKind::kInput) continue;
+    const std::int64_t layer = (node.id - 1) / per_layer;
+    if ((node.id - 1) % per_layer == 0) out_projs = norms = 0;
+    if (node.kind == graph::OpKind::kQkvProj) in_attention = true;
+    if (in_attention) {
+      in_attention = node.kind != graph::OpKind::kPvGemm;
+      continue;
     }
-    if (spec_.kind == ModelKind::kT5CrossDecoder) {
-      w.wc = seeded_tensor(Shape{hidden_, hidden_},
-                           weight_stream(seed, l, WeightTag::kCrossProj),
-                           s_h);
+    const auto stream = [&](WeightTag tag, int offset = 0) {
+      return weight_stream(
+          spec_.weight_seed, layer,
+          static_cast<WeightTag>(static_cast<int>(tag) + offset));
+    };
+    models::NodeWeights w;
+    const auto gemm = [&](WeightTag tag, WeightTag bias) {
+      w.w = seeded_tensor(Shape{node.inner, node.cols}, stream(tag),
+                          1.0f / std::sqrt(static_cast<float>(node.inner)));
+      bias_tag = bias;
+    };
+    switch (node.kind) {
+      case graph::OpKind::kOutProj:  // self, then cross projection
+        if (out_projs++ == 0) {
+          gemm(WeightTag::kOutProj, WeightTag::kOutBias);
+        } else {
+          gemm(WeightTag::kCrossProj, WeightTag::kCrossBias);
+        }
+        break;
+      case graph::OpKind::kFfnGemm:  // back to hidden width: down
+        if (node.cols == hidden_) {
+          gemm(WeightTag::kFfnDown, WeightTag::kFfnDownBias);
+        } else {
+          gemm(WeightTag::kFfnUp, WeightTag::kFfnUpBias);
+        }
+        break;
+      case graph::OpKind::kBias:  // its GEMM's bias tag
+        w.bias = seeded_tensor(Shape{node.cols}, stream(bias_tag), 0.1f);
+        break;
+      case graph::OpKind::kLayerNorm: {
+        STOF_CHECK(norms < 3, "a layer has at most three LayerNorms");
+        const int k = 2 * norms++;  // the k-th owns Gamma/Beta k+1
+        w.gamma = seeded_tensor(Shape{node.cols},
+                                stream(WeightTag::kGamma1, k), 0.1f, 1.0f);
+        w.beta = seeded_tensor(Shape{node.cols},
+                               stream(WeightTag::kBeta1, k), 0.05f);
+        break;
+      }
+      default:
+        break;
     }
-    w.g1 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kGamma1), 0.1f,
-                         1.0f);
-    w.b1 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kBeta1), 0.05f);
-    w.g2 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kGamma2), 0.1f,
-                         1.0f);
-    w.b2 = seeded_tensor(Shape{hidden_},
-                         weight_stream(seed, l, WeightTag::kBeta2), 0.05f);
-    if (spec_.kind == ModelKind::kT5CrossDecoder) {
-      w.g3 = seeded_tensor(Shape{hidden_},
-                           weight_stream(seed, l, WeightTag::kGamma3), 0.1f,
-                           1.0f);
-      w.b3 = seeded_tensor(Shape{hidden_},
-                           weight_stream(seed, l, WeightTag::kBeta3), 0.05f);
-    }
-    ops::warm_weight_panel(w.wo);
-    ops::warm_weight_panel(w.wf1);
-    ops::warm_weight_panel(w.wf2);
-    if (spec_.kind == ModelKind::kT5CrossDecoder) {
-      ops::warm_weight_panel(w.wc);
-    }
-    weights_.push_back(std::move(w));
+    head_.push_back(HeadOp{node.id, std::move(w)});
   }
+  for (const HeadOp& op : head_) ops::warm_weight_panel(op.weights.w);
 }
 
 graph::Graph ModelRuntime::build_graph(std::int64_t rows) const {
@@ -170,7 +179,7 @@ graph::Graph ModelRuntime::build_graph(std::int64_t rows) const {
   lc.seq_len = rows;
   lc.hidden = hidden_;
   lc.heads = heads_;
-  lc.ffn_dim = ffn_;
+  lc.ffn_dim = spec_.ffn_mult * hidden_;
   const int layers = static_cast<int>(spec_.layers);
   switch (spec_.kind) {
     case ModelKind::kBertEncoder:
@@ -186,6 +195,13 @@ graph::Graph ModelRuntime::build_graph(std::int64_t rows) const {
   }
   STOF_CHECK(false, "build_graph needs an enabled model kind");
   return graph::Graph{};  // unreachable
+}
+
+std::int64_t ModelRuntime::row_parallel_gemms() const {
+  return std::ranges::count_if(graph_.nodes(), [&](const graph::Node& n) {
+    return n.kind == graph::OpKind::kOutProj ||
+           (n.kind == graph::OpKind::kFfnGemm && n.cols == hidden_);
+  });
 }
 
 void ModelRuntime::prewarm(std::int64_t rows) {
@@ -281,64 +297,52 @@ double ModelRuntime::charge_step(gpusim::Stream& stream, std::int64_t rows) {
 }
 
 void ModelRuntime::transform_rows(TensorH& x) const {
-  STOF_CHECK(!weights_.empty(),
-             "transform_rows needs a with_weights runtime");
+  STOF_CHECK(!head_.empty(), "transform_rows needs a with_weights runtime");
   STOF_EXPECTS(x.shape().rank() == 2 && x.shape()[1] == hidden_);
   const std::int64_t n = x.shape()[0];
-  TensorH t1(Shape{n, hidden_}), t2(Shape{n, hidden_});
-  TensorH f(Shape{n, ffn_});
-
-  for (const LayerWeights& w : weights_) {
-    switch (spec_.kind) {
-      case ModelKind::kBertEncoder: {
-        // Post-LN: x = LN2(LN1(x + proj(x)) + ffn(LN1(...))).
-        ops::matmul2d(x, w.wo, t1);
-        ops::bias_add(t1, w.bo, t1);
-        ops::residual_add(x, t1, t1);
-        ops::layernorm(t1, w.g1, w.b1, t2);
-        ops::matmul2d(t2, w.wf1, f);
-        ops::bias_add(f, w.bf1, f);
-        ops::gelu_op(f, f);
-        ops::matmul2d(f, w.wf2, t1);
-        ops::bias_add(t1, w.bf2, t1);
-        ops::residual_add(t2, t1, t1);
-        ops::layernorm(t1, w.g2, w.b2, x);
-        break;
-      }
-      case ModelKind::kGptDecoder: {
-        // Pre-LN: x += proj(LN1(x)); x += ffn(LN2(x)).
-        ops::layernorm(x, w.g1, w.b1, t1);
-        ops::matmul2d(t1, w.wo, t2);
-        ops::bias_add(t2, w.bo, t2);
-        ops::residual_add(x, t2, x);
-        ops::layernorm(x, w.g2, w.b2, t1);
-        ops::matmul2d(t1, w.wf1, f);
-        ops::bias_add(f, w.bf1, f);
-        ops::gelu_op(f, f);
-        ops::matmul2d(f, w.wf2, t2);
-        ops::bias_add(t2, w.bf2, t2);
-        ops::residual_add(x, t2, x);
-        break;
-      }
-      case ModelKind::kT5CrossDecoder: {
-        // Pre-LN self + cross + FFN blocks, bias-free, ReLU.
-        ops::layernorm(x, w.g1, w.b1, t1);
-        ops::matmul2d(t1, w.wo, t2);
-        ops::residual_add(x, t2, x);
-        ops::layernorm(x, w.g2, w.b2, t1);
-        ops::matmul2d(t1, w.wc, t2);
-        ops::residual_add(x, t2, x);
-        ops::layernorm(x, w.g3, w.b3, t1);
-        ops::matmul2d(t1, w.wf1, f);
-        ops::relu(f, f);
-        ops::matmul2d(f, w.wf2, t2);
-        ops::residual_add(x, t2, x);
-        break;
-      }
-      case ModelKind::kNone:
-        STOF_CHECK(false, "unreachable");
+  std::vector<bool> skip_source(graph_.size());
+  for (const graph::Node& node : graph_.nodes()) {
+    if (node.skip_from >= 0) {
+      skip_source[static_cast<std::size_t>(node.skip_from)] = true;
     }
   }
+
+  // Only live values hold a buffer: the block flowing down the linear order
+  // and each residual skip source until its add.  A GEMM writes a spare
+  // buffer of its width; every other op runs in place unless its input is
+  // a skip source.  Dead buffers go back to `spare`.
+  std::vector<TensorH> values(graph_.size());
+  std::vector<TensorH> spare;
+  const auto take = [&](std::int64_t cols) {
+    const auto it = std::ranges::find_if(
+        spare, [&](const TensorH& t) { return t.shape()[1] == cols; });
+    if (it == spare.end()) return TensorH(Shape{n, cols});
+    TensorH t = std::move(*it);
+    spare.erase(it);
+    return t;
+  };
+  values[0] = std::move(x);
+  std::size_t prev = 0;
+  for (const HeadOp& op : head_) {
+    const graph::Node& node = graph_.node(op.id);
+    const auto id = static_cast<std::size_t>(op.id);
+    TensorH* skip = node.skip_from >= 0
+                        ? &values[static_cast<std::size_t>(node.skip_from)]
+                        : nullptr;
+    const bool in_place =
+        !graph::is_compute_intensive(node.kind) && !skip_source[prev];
+    if (!in_place) values[id] = take(node.cols);
+    models::run_row_op(node, op.weights, values[prev], skip,
+                       in_place ? values[prev] : values[id]);
+    if (in_place) {
+      values[id] = std::move(values[prev]);
+    } else if (!skip_source[prev]) {
+      spare.push_back(std::move(values[prev]));
+    }
+    if (skip != nullptr) spare.push_back(std::move(*skip));
+    prev = id;
+  }
+  x = std::move(values[prev]);
 }
 
 }  // namespace stof::serve

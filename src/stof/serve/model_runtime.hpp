@@ -18,15 +18,14 @@
 //    launches already charged them, identically, so the fused-vs-unfused
 //    delta isolates the fusion dimension.
 //  * Digest (transform_rows): a deterministic per-row layer head applied
-//    to attention-output rows before they fold into session digests.  Per
-//    layer it runs the post-attention pipeline (out-proj GEMM, bias,
-//    residual, LayerNorm, FFN up/down GEMMs, activation) with seeded
-//    weights on the library's bit-identical packed kernels; layer l > 0
-//    reuses layer l-1's output as its attention output.  Every op is
-//    per-row pure (the packed GEMM's accumulation order is row
-//    independent), so digests stay byte-identical across batch
-//    compositions, scheduling modes, preemption/recompute, chunked
-//    prefill, and fused-vs-unfused timelines.
+//    to attention-output rows before they fold into session digests: a
+//    walk over the same builder graph with attention (kQkvProj through
+//    kPvGemm, which the engine already ran) passed through, every other
+//    node run by models::run_row_op with seeded weights on the library's
+//    bit-identical packed kernels.  Every op is per-row pure (the packed
+//    GEMM's accumulation order is row independent), so digests stay
+//    byte-identical across batch compositions, scheduling modes,
+//    preemption/recompute, chunked prefill, and fused-vs-unfused timelines.
 //
 // Tuning happens once at "model load": plan_for() resolves each shape
 // bucket (next power of two of the row count — decode and prefill shapes
@@ -47,6 +46,7 @@
 #include "stof/gpusim/timeline.hpp"
 #include "stof/graph/builders.hpp"
 #include "stof/models/executor.hpp"
+#include "stof/models/functional.hpp"
 #include "stof/models/tune_db.hpp"
 
 namespace stof::serve {
@@ -77,12 +77,6 @@ struct ModelSpec {
   std::uint64_t weight_seed = 0x57eadfa571ull;
 
   [[nodiscard]] bool enabled() const { return kind != ModelKind::kNone; }
-  /// Row-parallel projections per layer — the all-reduce count a
-  /// tensor-parallel cluster pays at layer boundaries (self out-proj +
-  /// FFN down-proj, plus the cross-attention out-proj for T5).
-  [[nodiscard]] std::int64_t collectives_per_layer() const {
-    return kind == ModelKind::kT5CrossDecoder ? 3 : 2;
-  }
   void validate() const;
 };
 
@@ -115,27 +109,30 @@ class ModelRuntime {
   /// rows ((n, hidden), in place).  Requires with_weights.
   void transform_rows(TensorH& rows) const;
 
+  /// Row-parallel GEMMs in the model graph (every out-projection and every
+  /// FFN GEMM back to hidden width): the all-reduces a tensor-parallel
+  /// cluster pays per step.
+  [[nodiscard]] std::int64_t row_parallel_gemms() const;
+
  private:
   [[nodiscard]] graph::Graph build_graph(std::int64_t rows) const;
 
-  struct LayerWeights {
-    TensorH wo, bo;          // attention out-projection
-    TensorH wc;              // cross-attention projection (T5 only)
-    TensorH wf1, bf1;        // FFN up
-    TensorH wf2, bf2;        // FFN down
-    TensorH g1, b1, g2, b2, g3, b3;  // LayerNorm affine params
+  /// One node the layer head runs, with its weights.
+  struct HeadOp {
+    std::int64_t id = 0;
+    models::NodeWeights weights;
   };
 
   ModelSpec spec_;
   std::int64_t heads_ = 0;
   std::int64_t head_size_ = 0;
   std::int64_t hidden_ = 0;
-  std::int64_t ffn_ = 0;
   gpusim::DeviceSpec device_;
   std::uint64_t device_fp_ = 0;
   std::optional<models::TuneDb> db_;
   std::map<std::int64_t, models::ExecutionPlan> plans_;  ///< bucket -> plan
-  std::vector<LayerWeights> weights_;
+  graph::Graph graph_;         ///< the model graph at one row
+  std::vector<HeadOp> head_;   ///< empty without weights
 };
 
 }  // namespace stof::serve

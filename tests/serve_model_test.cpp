@@ -207,6 +207,27 @@ TEST(ServeModel, T5ClusterChargesThreeCollectivesPerLayer) {
               1e-6 * t5.collective_us());
 }
 
+TEST(ServeModel, CollectiveCountIsCountedFromTheModelGraph) {
+  struct Family {
+    ModelKind kind;
+    std::int64_t per_layer;
+  };
+  for (const Family f : {Family{ModelKind::kBertEncoder, 2},
+                         Family{ModelKind::kGptDecoder, 2},
+                         Family{ModelKind::kT5CrossDecoder, 3}}) {
+    for (const std::int64_t layers : {1, 3}) {
+      ModelSpec spec;
+      spec.kind = f.kind;
+      spec.layers = layers;
+      spec.fused = false;
+      const ModelRuntime rt(spec, 4, 16, gpusim::DeviceSpec{},
+                            /*with_weights=*/false);
+      EXPECT_EQ(rt.row_parallel_gemms(), f.per_layer * layers)
+          << to_string(f.kind) << " x" << layers;
+    }
+  }
+}
+
 TEST(ServeModel, EngineWarmLoadHitsTuningDb) {
   namespace fs = std::filesystem;
   telemetry::ScopedTelemetry scope(true);

@@ -1,7 +1,8 @@
 // Persistent tuning-database tests: the cold-miss -> tune -> persist ->
 // warm-hit lifecycle, shape-bucket quantization boundaries, key
-// fingerprint separation, and corruption fallback (a damaged DB file must
-// report a miss and force retuning, never throw or return a bad plan).
+// fingerprint separation, corruption fallback (a damaged DB file must
+// report a miss and force retuning, never throw or return a bad plan), and
+// store failures (an unwritable directory is counted, never thrown).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -155,6 +156,47 @@ TEST(TuneDb, WrongOpCountIsAVerifyFailure) {
   EXPECT_EQ(telemetry::global_registry().counter("tunedb.verify_failures"),
             1);
   EXPECT_EQ(telemetry::global_registry().counter("tunedb.misses"), 1);
+}
+
+TEST(TuneDb, StoreLeavesNoTempFileBehind) {
+  const std::string dir = fresh_dir("atomic");
+  const auto g = graph::build_decoder_graph(tiny_layer(16), 1);
+  const TuneKey key{graph_fingerprint(g), 16,
+                    device_fingerprint(gpusim::a100())};
+  TuneDb db(dir);
+  const ExecutionPlan plan = baselines::e2e_plan(baselines::Method::kStof, g);
+  db.store(key, plan);
+  db.store(key, plan);  // replaces the entry
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().string());
+  }
+  EXPECT_EQ(names, std::vector<std::string>{db.path_for(key)});
+}
+
+TEST(TuneDb, UnwritableDirectoryCountsAStoreFailureAndNeverThrows) {
+  telemetry::ScopedTelemetry scope(true);
+  const std::string dir = fresh_dir("unwritable");
+  const auto g = graph::build_decoder_graph(tiny_layer(16), 1);
+  const TuneKey key{graph_fingerprint(g), 16,
+                    device_fingerprint(gpusim::a100())};
+  TuneDb db(dir);
+  // Replace the directory with a regular file: no entry can be created
+  // under it, whatever the process's privileges (chmod does not stop root).
+  fs::remove_all(dir);
+  std::ofstream(dir) << "not a directory\n";
+  telemetry::global_registry().reset();
+
+  EXPECT_NO_THROW(
+      db.store(key, baselines::e2e_plan(baselines::Method::kStof, g)));
+  const auto& reg = telemetry::global_registry();
+  EXPECT_EQ(reg.counter("tunedb.store_failures"), 1);
+  EXPECT_EQ(reg.counter("tunedb.store_writes"), 0);
+  std::optional<ExecutionPlan> got;
+  EXPECT_NO_THROW(got = db.load(key, g.size()));
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(reg.counter("tunedb.misses"), 1);
+  fs::remove(dir);
 }
 
 TEST(TuneDb, CorruptFilesFallBackToRetuning) {
