@@ -266,7 +266,14 @@ inline RunResult run_trace(
     const std::function<void(SessionId, std::int64_t, std::span<const half>)>&
         on_decode = {}) {
   Engine engine(cfg);
-  if (on_decode) engine.on_decode_output = on_decode;
+  if (on_decode) {
+    // Prefill folds only prompt rows, so the rows at or past the prompt
+    // are exactly the decoded tokens' outputs.
+    engine.on_output_row = [&](SessionId id, std::int64_t pos,
+                               std::span<const half> row) {
+      if (pos >= engine.session(id).request.prompt_len) on_decode(id, pos, row);
+    };
+  }
   std::int64_t decode_steps = 0;
   std::map<SessionId, double> last_token_at;
   std::vector<double> decode_gaps;

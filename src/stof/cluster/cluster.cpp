@@ -32,9 +32,6 @@ Cluster::Cluster(const ClusterConfig& config) : config_(config) {
       ec.heads = hr.count;
       ec.head_offset = hr.begin;
       ec.total_heads = total;
-      // The draft pass is a cost-model-only narrow decode; keep it inside
-      // the shard's head range.
-      ec.spec_draft_heads = std::min(ec.spec_draft_heads, hr.count);
     }
     engines_.push_back(std::make_unique<serve::Engine>(ec));
     engines_.back()->on_output_row = [this, dev](serve::SessionId id,
@@ -82,11 +79,9 @@ std::uint64_t Cluster::prefix_chain_key(const serve::Request& r,
 
 void Cluster::drain_output_rows() {
   const auto& ref = pending_rows_[0];
-  if (config_.check_lockstep) {
-    for (const auto& dev_rows : pending_rows_) {
-      STOF_CHECK(dev_rows.size() == ref.size(),
-                 "shards must fold the same output rows each step");
-    }
+  for (const auto& dev_rows : pending_rows_) {
+    STOF_CHECK(dev_rows.size() == ref.size(),
+               "shards must fold the same output rows each step");
   }
   // Assemble the step's full-width rows first: shard d holds heads
   // [head_range(d).begin, ...), so device-order concatenation is the
@@ -97,10 +92,8 @@ void Cluster::drain_output_rows() {
     std::size_t off = j * static_cast<std::size_t>(width);
     for (auto& dev_rows : pending_rows_) {
       const OutputRow& row = dev_rows[j];
-      if (config_.check_lockstep) {
-        STOF_CHECK(row.id == ref[j].id && row.pos == ref[j].pos,
-                   "shard output-row streams diverged");
-      }
+      STOF_CHECK(row.id == ref[j].id && row.pos == ref[j].pos,
+                 "shard output-row streams diverged");
       std::copy(row.bytes.begin(), row.bytes.end(), full.begin() + off);
       off += row.bytes.size();
     }
@@ -176,13 +169,11 @@ bool Cluster::step() {
   double min_us = std::numeric_limits<double>::max();
   for (const auto& o : outcomes) {
     STOF_CHECK(o.has_value(), "shard schedulers diverged (empty vs not)");
-    if (config_.check_lockstep) {
-      STOF_CHECK(o->prefills.size() == outcomes[0]->prefills.size() &&
-                     o->chunks.size() == outcomes[0]->chunks.size() &&
-                     o->decodes.size() == outcomes[0]->decodes.size() &&
-                     o->evicted.size() == outcomes[0]->evicted.size(),
-                 "shard schedulers diverged (plan shapes)");
-    }
+    STOF_CHECK(o->prefills.size() == outcomes[0]->prefills.size() &&
+                   o->chunks.size() == outcomes[0]->chunks.size() &&
+                   o->decodes.size() == outcomes[0]->decodes.size() &&
+                   o->evicted.size() == outcomes[0]->evicted.size(),
+               "shard schedulers diverged (plan shapes)");
     max_us = std::max(max_us, o->us);
     min_us = std::min(min_us, o->us);
   }

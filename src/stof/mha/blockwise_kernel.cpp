@@ -140,7 +140,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   if (use_packed) {
     if (panel_cache == nullptr) {
       panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/true,
-                     &core::global_panel_cache(), params.kv_precision);
+                     core::global_panel_cache(), params.kv_precision);
       panel_cache = &*panels;
       kv_off = 0;
     } else {

@@ -23,116 +23,6 @@ std::vector<std::int32_t> decode_columns(const masks::Mask& mask,
   return cols;
 }
 
-TensorH decode_attention(const DecodeDims& dims, const TensorH& q,
-                         const TensorH& k_cache, const TensorH& v_cache,
-                         const std::vector<std::int32_t>& cols) {
-  dims.validate();
-  const Shape q_shape{dims.instances(), 1, dims.head_size};
-  const Shape kv_shape{dims.instances(), dims.context_len, dims.head_size};
-  STOF_EXPECTS(q.shape() == q_shape, "q must be (b*h, 1, d)");
-  STOF_EXPECTS(k_cache.shape() == kv_shape, "k_cache must be (b*h, ctx, d)");
-  STOF_EXPECTS(v_cache.shape() == kv_shape, "v_cache must be (b*h, ctx, d)");
-  for (const auto c : cols) {
-    STOF_EXPECTS(c >= 0 && c < dims.context_len, "column out of context");
-  }
-
-  TensorH out(q_shape);
-  const std::int64_t d = dims.head_size;
-  const float scale = dims.scale();
-
-  // Packed path: bulk-convert the query row and the *gathered* K/V cache
-  // rows into scratch FP32 panels.  Decode touches each cache row at most
-  // once per call (one query row per instance), so the whole-instance
-  // KvPanelCache would convert context rows the sparse column list never
-  // reads — gathering exactly the attended rows converts the same element
-  // set the scalar loop reads, with table lookups instead of per-element
-  // `at()` round trips.  The streaming-softmax order is unchanged, so both
-  // paths are bit-identical.
-  const bool use_packed = packed_execution_enabled();
-  const std::int64_t gathered = static_cast<std::int64_t>(cols.size());
-  const std::int64_t ctx = dims.context_len;
-
-  parallel_for_scratch(0, dims.instances(), [&](std::int64_t bh,
-                                                ScratchArena& arena) {
-    const core::KernelTable& kt = core::kernels();
-    float m = -std::numeric_limits<float>::infinity();
-    float l = 0;
-    auto acc = arena.alloc_zeroed(d);
-
-    std::span<float> q_row, k_rows, v_rows, dots;
-    if (use_packed) {
-      q_row = arena.alloc(d);
-      packed::half_to_float(
-          q.data().subspan(static_cast<std::size_t>(bh * d), q_row.size()),
-          q_row);
-      k_rows = arena.alloc(gathered * d);
-      v_rows = arena.alloc(gathered * d);
-      dots = arena.alloc(gathered);
-      for (std::int64_t g = 0; g < gathered; ++g) {
-        const auto src =
-            static_cast<std::size_t>((bh * ctx + cols[static_cast<std::size_t>(
-                                                     g)]) *
-                                     d);
-        const auto dst = static_cast<std::size_t>(g * d);
-        packed::half_to_float(
-            k_cache.data().subspan(src, static_cast<std::size_t>(d)),
-            k_rows.subspan(dst, static_cast<std::size_t>(d)));
-        packed::half_to_float(
-            v_cache.data().subspan(src, static_cast<std::size_t>(d)),
-            v_rows.subspan(dst, static_cast<std::size_t>(d)));
-      }
-      // All gathered rows are contiguous in scratch, so the dot batch runs
-      // with idx == nullptr; each dot keeps the serial ascending-e chain of
-      // the scalar loop below.
-      core::note_kernel_dispatch("dot_rows");
-      kt.dot_rows(q_row.data(), k_rows.data(), d, nullptr, dots.data(),
-                  gathered, d);
-      core::note_kernel_dispatch("axpby", gathered);
-    }
-
-    for (std::int64_t g = 0; g < gathered; ++g) {
-      const std::int64_t j = cols[static_cast<std::size_t>(g)];
-      float dot = 0;
-      if (use_packed) {
-        dot = dots[static_cast<std::size_t>(g)];
-      } else {
-        for (std::int64_t e = 0; e < d; ++e) {
-          dot += float(q.at(bh, 0, e)) * float(k_cache.at(bh, j, e));
-        }
-      }
-      const float s = dot * scale;
-      const float m_new = std::max(m, s);
-      const float correction = (l == 0.0f) ? 0.0f : std::exp(m - m_new);
-      const float w = std::exp(s - m_new);
-      l = l * correction + w;
-      if (use_packed) {
-        // acc = acc*correction + w*v_row — exactly the scalar merge below,
-        // one multiply and one add per element.
-        kt.axpby(acc.data(), v_rows.data() + g * d, correction, w, d);
-      } else {
-        for (std::int64_t e = 0; e < d; ++e) {
-          acc[static_cast<std::size_t>(e)] =
-              acc[static_cast<std::size_t>(e)] * correction +
-              w * float(v_cache.at(bh, j, e));
-        }
-      }
-      m = m_new;
-    }
-    const float inv = l == 0.0f ? 0.0f : 1.0f / l;
-    if (use_packed) {
-      kt.scale_inplace(acc.data(), inv, d);
-      packed::float_to_half(
-          acc, out.data().subspan(static_cast<std::size_t>(bh * d),
-                                  static_cast<std::size_t>(d)));
-    } else {
-      for (std::int64_t e = 0; e < d; ++e) {
-        out.at(bh, 0, e) = half(acc[static_cast<std::size_t>(e)] * inv);
-      }
-    }
-  });
-  return out;
-}
-
 void PagedSeq::validate(std::int64_t heads, std::int64_t head_size) const {
   STOF_EXPECTS(heads > 0 && head_size > 0);
   STOF_EXPECTS(context_len >= 0, "context_len must be non-negative");
@@ -144,23 +34,18 @@ void PagedSeq::validate(std::int64_t heads, std::int64_t head_size) const {
   STOF_EXPECTS(static_cast<std::int64_t>(k_blocks.size()) >= need &&
                    static_cast<std::int64_t>(v_blocks.size()) >= need,
                "not enough KV blocks for context_len");
-  STOF_EXPECTS(kf_blocks.empty() == vf_blocks.empty(),
-               "float sidecar views come in K/V pairs");
-  if (!kf_blocks.empty()) {
-    STOF_EXPECTS(static_cast<std::int64_t>(kf_blocks.size()) >= need &&
-                     static_cast<std::int64_t>(vf_blocks.size()) >= need,
-                 "not enough float KV blocks for context_len");
-  }
-  STOF_EXPECTS(k8_blocks.empty() == v8_blocks.empty() &&
-                   k8_blocks.empty() == k8_scales.empty() &&
-                   k8_blocks.empty() == v8_scales.empty(),
-               "int8 sidecar views come as k/v blocks plus scales");
-  if (!k8_blocks.empty()) {
-    STOF_EXPECTS(static_cast<std::int64_t>(k8_blocks.size()) >= need &&
-                     static_cast<std::int64_t>(v8_blocks.size()) >= need &&
-                     static_cast<std::int64_t>(k8_scales.size()) >= need &&
-                     static_cast<std::int64_t>(v8_scales.size()) >= need,
-                 "not enough int8 KV blocks for context_len");
+  if (!sidecar.pages.empty()) {
+    STOF_EXPECTS(static_cast<std::int64_t>(sidecar.pages.size()) >= need,
+                 "not enough sidecar pages for context_len");
+    const bool int8 = sidecar.precision == core::PanelPrecision::kInt8;
+    const auto covered = [int8](const SidecarPanel& p) {
+      return int8 ? p.i8 != nullptr && p.scales != nullptr : p.f32 != nullptr;
+    };
+    for (std::int64_t i = 0; i < need; ++i) {
+      const SidecarPage& page = sidecar.pages[static_cast<std::size_t>(i)];
+      STOF_EXPECTS(covered(page.k) && covered(page.v),
+                   "sidecar page lacks its precision's panels");
+    }
   }
   std::int32_t prev = -1;
   for (const auto c : cols) {
@@ -175,14 +60,18 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
                                const TensorH& q) {
   const std::int64_t num_seqs = static_cast<std::int64_t>(seqs.size());
   STOF_EXPECTS(num_seqs > 0, "empty decode batch");
-  for (const auto& s : seqs) s.validate(heads, head_size);
+  const bool use_packed = packed_execution_enabled();
+  for (const auto& s : seqs) {
+    s.validate(heads, head_size);
+    STOF_EXPECTS(!use_packed || !s.sidecar.pages.empty(),
+                 "packed decode reads the KV sidecar");
+  }
   const Shape q_shape{num_seqs * heads, 1, head_size};
   STOF_EXPECTS(q.shape() == q_shape, "q must be (seqs*heads, 1, d)");
 
   TensorH out(q_shape);
   const std::int64_t d = head_size;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  const bool use_packed = packed_execution_enabled();
 
   // One task per (sequence, head) instance — each is fully independent, so
   // per-sequence outputs cannot depend on what else is in the batch.
@@ -193,14 +82,10 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     const std::int64_t h = inst % heads;
     const PagedSeq& seq = seqs[static_cast<std::size_t>(s)];
     const std::int64_t bt = seq.block_tokens;
-    // The KV pool's sidecars hold these pages pre-converted (each page
-    // converted once when its rows were appended); reading one skips the
-    // per-step O(context) half->float work.  The float sidecar is exact,
-    // so every score and PV term below is the same float either way; the
-    // INT8 sidecar trades a quantization error bound for halved panel
-    // bytes and is gated by the serving engine's kv-precision policy.
-    const bool int8_tier = use_packed && !seq.k8_blocks.empty();
-    const bool sidecar = !int8_tier && use_packed && !seq.kf_blocks.empty();
+    // The packed path reads the pool's sidecar pages (each converted once,
+    // when its rows were appended) and never converts a half row itself.
+    const bool int8 =
+        use_packed && seq.sidecar.precision == core::PanelPrecision::kInt8;
 
     float m = -std::numeric_limits<float>::infinity();
     float l = 0;
@@ -208,7 +93,7 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     auto w_buf = arena.alloc(bt);
     auto col_buf = arena.alloc(bt);  // local offsets of attended cols
 
-    std::span<float> q_row, pv, kv_scratch;
+    std::span<float> q_row, pv;
     std::int8_t* q8 = nullptr;
     float q_scale = 0.0f;
     if (use_packed) {
@@ -219,7 +104,7 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
           q.data().subspan(static_cast<std::size_t>(inst * d), q_row.size()),
           q_row);
       pv = arena.alloc(d);
-      if (int8_tier) {
+      if (int8) {
         // Quantize the query row once per instance; int8 codes live in the
         // float arena (signed-char stores may alias any storage).
         auto q8_words = arena.alloc((d + 3) / 4);
@@ -227,8 +112,6 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
         const auto params = core::quant_params(kt.abs_max(q_row.data(), d));
         q_scale = params.scale;
         kt.quantize_i8(q_row.data(), q8, d, params.inv_scale);
-      } else if (!sidecar) {
-        kv_scratch = arena.alloc(bt * d);
       }
     }
 
@@ -244,8 +127,7 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
     const std::size_t n_cols = seq.cols.size();
     while (g < n_cols) {
       const std::int64_t bj = seq.cols[g] / bt;
-      const half* k_blk = seq.k_blocks[static_cast<std::size_t>(bj)];
-      const half* v_blk = seq.v_blocks[static_cast<std::size_t>(bj)];
+      const auto bi = static_cast<std::size_t>(bj);
       const std::int64_t col_lo = bj * bt;
 
       // Collect this page's attended locals (exact small integers, stored
@@ -255,48 +137,38 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
         col_buf[static_cast<std::size_t>(nb)] =
             static_cast<float>(seq.cols[g] - col_lo);
       }
+      const auto local = [&](std::int64_t c) {
+        return static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
+      };
+      // Offset of attended column c's (token, head) row inside its page.
+      const auto row_of = [&](std::int64_t c) {
+        return (local(c) * heads + h) * d;
+      };
 
       // Scores for this page's attended columns: w_buf[c] = dot_c * scale,
       // row_max = max over them (exact, so the batched reduction matches
       // the scalar running max bit-for-bit).
       float row_max = -std::numeric_limits<float>::infinity();
-      if (int8_tier) {
-        const std::int8_t* k8_blk =
-            seq.k8_blocks[static_cast<std::size_t>(bj)];
-        const float* k8s = seq.k8_scales[static_cast<std::size_t>(bj)];
+      if (int8) {
+        const SidecarPanel& kp = seq.sidecar.pages[bi].k;
         for (std::int64_t c = 0; c < nb; ++c) {
-          const auto local =
-              static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
-          const std::int32_t di =
-              kt.dot_i8(q8, k8_blk + (local * heads + h) * d, d);
+          const std::int32_t di = kt.dot_i8(q8, kp.i8 + row_of(c), d);
           // Fixed dequantization expression order keeps the INT8 result
           // deterministic across ISAs and batch schedules.
-          const float dot = (q_scale * k8s[local]) * static_cast<float>(di);
+          const float dot =
+              (q_scale * kp.scales[local(c)]) * static_cast<float>(di);
           w_buf[static_cast<std::size_t>(c)] = dot * scale;
         }
         row_max = kt.reduce_max(w_buf.data(), nb);
-      } else if (sidecar) {
-        const float* kf_blk = seq.kf_blocks[static_cast<std::size_t>(bj)];
-        kt.dot_rows(q_row.data(), kf_blk + h * d, heads * d, col_buf.data(),
-                    w_buf.data(), nb, d);
-        kt.scale_inplace(w_buf.data(), scale, nb);
-        row_max = kt.reduce_max(w_buf.data(), nb);
       } else if (use_packed) {
-        for (std::int64_t c = 0; c < nb; ++c) {
-          const auto local =
-              static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
-          kt.half_to_float(k_blk + (local * heads + h) * d,
-                           kv_scratch.data() + c * d, d);
-        }
-        kt.dot_rows(q_row.data(), kv_scratch.data(), d, nullptr, w_buf.data(),
-                    nb, d);
+        kt.dot_rows(q_row.data(), seq.sidecar.pages[bi].k.f32 + h * d,
+                    heads * d, col_buf.data(), w_buf.data(), nb, d);
         kt.scale_inplace(w_buf.data(), scale, nb);
         row_max = kt.reduce_max(w_buf.data(), nb);
       } else {
+        const half* k_blk = seq.k_blocks[bi];
         for (std::int64_t c = 0; c < nb; ++c) {
-          const auto local =
-              static_cast<std::int64_t>(col_buf[static_cast<std::size_t>(c)]);
-          const half* k_row = k_blk + (local * heads + h) * d;
+          const half* k_row = k_blk + row_of(c);
           float dot = 0;
           for (std::int64_t e = 0; e < d; ++e) {
             dot += float(q.at(inst, 0, e)) * float(k_row[e]);
@@ -325,43 +197,24 @@ TensorH decode_attention_paged(std::int64_t heads, std::int64_t head_size,
       // merge with acc = acc*correction + 1.0*pv (alpha == 1 is exact).
       if (use_packed) {
         std::fill(pv.begin(), pv.end(), 0.0f);
-        if (int8_tier) {
-          const std::int8_t* v8_blk =
-              seq.v8_blocks[static_cast<std::size_t>(bj)];
-          const float* v8s = seq.v8_scales[static_cast<std::size_t>(bj)];
-          for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
-            kt.axpy_i8(pv.data(), v8_blk + (local * heads + h) * d,
-                       w_buf[static_cast<std::size_t>(c)] * v8s[local], d);
-          }
-        } else if (sidecar) {
-          const float* vf_blk = seq.vf_blocks[static_cast<std::size_t>(bj)];
-          for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
-            kt.axpy(pv.data(), vf_blk + (local * heads + h) * d,
-                    w_buf[static_cast<std::size_t>(c)], d);
-          }
-        } else {
-          for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
-            kt.half_to_float(v_blk + (local * heads + h) * d,
-                             kv_scratch.data() + c * d, d);
-            kt.axpy(pv.data(), kv_scratch.data() + c * d,
-                    w_buf[static_cast<std::size_t>(c)], d);
+        const SidecarPanel& vp = seq.sidecar.pages[bi].v;
+        for (std::int64_t c = 0; c < nb; ++c) {
+          const float w = w_buf[static_cast<std::size_t>(c)];
+          if (int8) {
+            kt.axpy_i8(pv.data(), vp.i8 + row_of(c),
+                       w * vp.scales[local(c)], d);
+          } else {
+            kt.axpy(pv.data(), vp.f32 + row_of(c), w, d);
           }
         }
         kt.axpby(acc.data(), pv.data(), correction, 1.0f, d);
       } else {
+        const half* v_blk = seq.v_blocks[bi];
         for (std::int64_t e = 0; e < d; ++e) {
           float pvs = 0;
           for (std::int64_t c = 0; c < nb; ++c) {
-            const auto local = static_cast<std::int64_t>(
-                col_buf[static_cast<std::size_t>(c)]);
             pvs += w_buf[static_cast<std::size_t>(c)] *
-                   float(v_blk[(local * heads + h) * d + e]);
+                   float(v_blk[row_of(c) + e]);
           }
           acc[static_cast<std::size_t>(e)] =
               acc[static_cast<std::size_t>(e)] * correction + pvs;
@@ -397,8 +250,9 @@ gpusim::KernelCost decode_batched_cost(std::int64_t heads,
       static_cast<std::int64_t>(valid_cols.size()) * heads;
 
   gpusim::KernelCost c;
-  // Same per-instance model as decode_cost, summed over the ragged batch:
-  // one warp per (sequence, head), packed half2 CUDA-core math.
+  // One warp per (sequence, head), packed half2 CUDA-core math, summed
+  // over the ragged batch; each streams its attended K/V rows plus the
+  // tiny q and output.
   for (const auto valid_i : valid_cols) {
     STOF_EXPECTS(valid_i >= 0);
     const double valid = static_cast<double>(valid_i);
@@ -455,32 +309,6 @@ gpusim::KernelCost decode_verify_cost(std::int64_t heads,
   c.occupancy = occ.fraction;
   c.blocks_per_sm = std::max(1, occ.blocks_per_sm);
   c.grid_blocks = (instances + 3) / 4;
-  c.overlap = 0.85;  // pure streaming
-  return c;
-}
-
-gpusim::KernelCost decode_cost(const DecodeDims& dims,
-                               std::int64_t valid_cols,
-                               const gpusim::DeviceSpec& dev) {
-  dims.validate();
-  STOF_EXPECTS(valid_cols >= 0 && valid_cols <= dims.context_len);
-  const double instances = static_cast<double>(dims.instances());
-  const double d = static_cast<double>(dims.head_size);
-  const double valid = static_cast<double>(valid_cols);
-  constexpr double kElem = 2.0;
-
-  gpusim::KernelCost c;
-  // One warp per (batch, head): packed half2 CUDA-core math, like the
-  // row-wise kernel.
-  c.cuda_flops = 0.5 * instances * valid * (4.0 * d + 6.0);
-  // Streams the attended K/V cache rows plus the tiny q and output.
-  c.gmem_read_bytes = instances * (d * kElem + 2.0 * valid * d * kElem) +
-                      valid * sizeof(std::int32_t);
-  c.gmem_write_bytes = instances * d * kElem;
-  const auto occ = gpusim::occupancy(dev, 0, /*num_warps=*/4);
-  c.occupancy = occ.fraction;
-  c.blocks_per_sm = std::max(1, occ.blocks_per_sm);
-  c.grid_blocks = (dims.instances() + 3) / 4;
   c.overlap = 0.85;  // pure streaming
   return c;
 }

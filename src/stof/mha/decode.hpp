@@ -1,17 +1,17 @@
-// Single-token decode attention over a KV cache (extension).
+// Batched single-token decode attention over a paged KV cache (extension).
 //
 // Autoregressive generation issues one query row per step against the
-// cached keys/values of the context — the degenerate case of the row-wise
-// kernel (one warp per (batch, head) instance, no softmax streaming needed
-// beyond a single pass).  The paper's conclusion points at "other DNN
-// scenarios"; this is the decode-side one, and it reuses the row-wise
-// sparse machinery: the step's attendable context positions come from the
-// last row of the (ctx+1)-token mask.
+// cached keys/values of the context.  The paper's conclusion points at
+// "other DNN scenarios"; this is the decode-side one: the step's attendable
+// context positions come from the last row of the (ctx+1)-token mask, and
+// the kernel streams them page by page in the block-wise kernel's softmax
+// update order, so serving has one decode kernel for every batch shape.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "stof/core/kernels.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
 #include "stof/masks/mask.hpp"
@@ -19,42 +19,42 @@
 
 namespace stof::mha {
 
-/// Dimensions of one decode step.
-struct DecodeDims {
-  std::int64_t batch = 1;
-  std::int64_t heads = 12;
-  std::int64_t context_len = 0;  ///< cached tokens the new token may see
-  std::int64_t head_size = 64;
-
-  [[nodiscard]] std::int64_t instances() const { return batch * heads; }
-  [[nodiscard]] float scale() const {
-    return 1.0f / std::sqrt(static_cast<float>(head_size));
-  }
-  void validate() const {
-    STOF_EXPECTS(batch > 0 && heads > 0 && context_len > 0 && head_size > 0);
-  }
-};
-
 /// The context positions a new token attends to: the valid columns of the
 /// query row `row` of `mask`, restricted to [0, context_len).
 std::vector<std::int32_t> decode_columns(const masks::Mask& mask,
                                          std::int64_t row,
                                          std::int64_t context_len);
 
-/// One decode step: q is (batch*heads, 1, head_size); k_cache/v_cache are
-/// (batch*heads, context_len, head_size).  Returns (batch*heads, 1,
-/// head_size).  `cols` lists the attendable cache positions (shared across
-/// batch and heads); an empty list yields zeros.
-TensorH decode_attention(const DecodeDims& dims, const TensorH& q,
-                         const TensorH& k_cache, const TensorH& v_cache,
-                         const std::vector<std::int32_t>& cols);
+/// One side (K or V) of one KV page in sidecar form, mirroring the half
+/// page's (block_tokens, heads, head_size) row-major layout.  The owning
+/// KvSidecar's precision says which pointers are set.
+struct SidecarPanel {
+  const float* f32 = nullptr;       ///< kFloat32: exact FP32 values
+  const std::int8_t* i8 = nullptr;  ///< kInt8: symmetric codes
+  const float* scales = nullptr;    ///< kInt8: one scale per token row
+};
 
-/// Simulated cost of one decode-step kernel launch.
-gpusim::KernelCost decode_cost(const DecodeDims& dims,
-                               std::int64_t valid_cols,
-                               const gpusim::DeviceSpec& dev);
+/// One KV page's sidecar panels.
+struct SidecarPage {
+  SidecarPanel k;
+  SidecarPanel v;
+};
 
-// ---- Batched ragged decode over a paged KV-cache (serving extension) ------
+/// A sequence's KV pages converted once, when their rows were appended
+/// (the KV pool's decode sidecar), one page per KV block:
+///   * kFloat32 holds the exact half->float conversion, so every score and
+///     PV term is the float the scalar path computes — bit-identical;
+///   * kInt8 holds symmetric codes with one scale per token row (a
+///     heads*head_size quantization group), so codes depend only on that
+///     row and decode stays deterministic under incremental page fill.
+///     Scores and PV run as exact int32 dot products with a float
+///     epilogue: deterministic across ISAs, *not* bit-identical to FP32,
+///     which is why the serving engine gates it behind its kv-precision
+///     policy.
+struct KvSidecar {
+  core::PanelPrecision precision = core::PanelPrecision::kFloat32;
+  std::span<const SidecarPage> pages;
+};
 
 /// One sequence's view of a paged KV-cache for a batched decode step.
 ///
@@ -68,28 +68,9 @@ struct PagedSeq {
   std::span<const half* const> v_blocks;
   /// Attendable positions, ascending, all in [0, context_len).
   std::span<const std::int32_t> cols;
-  /// Optional pre-converted FP32 views of the same blocks (the KV pool's
-  /// float-panel sidecar).  When present (both or neither), the packed
-  /// path reads these instead of converting half loads element-wise —
-  /// the conversion is exact, so outputs are unchanged bit-for-bit.
-  /// Each float block mirrors its half block's layout and must cover at
-  /// least the first context_len rows.
-  std::span<const float* const> kf_blocks;
-  std::span<const float* const> vf_blocks;
-  /// Optional INT8-quantized views of the same blocks (the KV pool's INT8
-  /// sidecar tier).  Each int8 block mirrors its half block's layout; the
-  /// matching scales span holds one symmetric scale per token row (a
-  /// heads*head_size quantization group), so codes depend only on that
-  /// row's values and decode stays deterministic under incremental page
-  /// fill.  When present (all four or none), the packed path runs the
-  /// whole step in INT8 — scores and PV in exact int32 dot products with a
-  /// float epilogue — which is deterministic across ISAs but *not*
-  /// bit-identical to FP32; the serving engine gates it behind an explicit
-  /// kv-precision policy.  Takes precedence over the float sidecar.
-  std::span<const std::int8_t* const> k8_blocks;
-  std::span<const std::int8_t* const> v8_blocks;
-  std::span<const float* const> k8_scales;  ///< per block: block_tokens scales
-  std::span<const float* const> v8_scales;  ///< per block: block_tokens scales
+  /// The pages the packed path reads; must cover the first context_len
+  /// rows.  The scalar path reads the half blocks and ignores it.
+  KvSidecar sidecar;
 
   void validate(std::int64_t heads, std::int64_t head_size) const;
 };
@@ -97,7 +78,9 @@ struct PagedSeq {
 /// Batched ragged decode: q is (seqs.size()*heads, 1, head_size), sequence
 /// s owning query instances [s*heads, (s+1)*heads); returns the same shape.
 /// Every (sequence, head) instance is independent, so results do not depend
-/// on how sequences are batched together.
+/// on how sequences are batched together.  In packed mode every sequence
+/// must carry a sidecar; the scalar path is the bit-identity reference.
+/// An empty column list yields zeros.
 ///
 /// The context is streamed block-by-block with the block-wise kernel's
 /// streaming-softmax update order (block max, correction, ascending-column

@@ -1,5 +1,7 @@
 #include "stof/mha/panel_cache.hpp"
 
+#include <vector>
+
 #include "stof/core/packed.hpp"
 #include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -55,7 +57,7 @@ void convert_row_major(const TensorH& t, std::int64_t kv_instances,
 KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
                            std::int64_t kv_instances, std::int64_t seq,
                            std::int64_t head_size, bool transpose_k,
-                           core::PanelCacheRegistry* registry,
+                           core::PanelCacheRegistry& registry,
                            core::PanelPrecision precision)
     : seq_(seq),
       d_(head_size),
@@ -67,6 +69,19 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
                    k.data().size() == v.data().size(),
                "K/V storage must be kv_instances contiguous (seq x d) panels");
 
+  // Panels are keyed on each tensor's storage identity (plus layout
+  // variant) and tagged with its mutation stamp, so an unmodified tensor
+  // converts once across any number of kernel calls while any write forces
+  // a fresh conversion.  These whole-tensor panels never extend
+  // incrementally — a version bump reconverts all of them — so converters
+  // always receive the full [0, total).  A transposed panel's layout
+  // depends on the (seq, d) factorisation, so the variant encodes it;
+  // row-major layout is factorisation-free.
+  const std::uint64_t k_variant =
+      transpose_k ? core::kPanelTransposed |
+                        (static_cast<std::uint64_t>(seq_) << 8) |
+                        (static_cast<std::uint64_t>(d_) << 36)
+                  : core::kPanelRowMajor;
   std::int64_t converted_panels = 0;
   if (precision_ == core::PanelPrecision::kInt8) {
     // INT8 tier: one symmetric scale per instance panel, codes in the same
@@ -85,100 +100,51 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
     const auto v_quant = [&](std::int8_t* codes, float* scales) {
       packed::quantize_halfs(v.data(), panel, codes, scales);
     };
-    if (registry != nullptr) {
-      const std::uint64_t k_layout =
-          transpose_k ? core::kPanelTransposed |
-                            (static_cast<std::uint64_t>(seq_) << 8) |
-                            (static_cast<std::uint64_t>(d_) << 36)
-                      : core::kPanelRowMajor;
-      const auto wrap = [total](const auto& quant) {
-        return [total, &quant](std::int64_t lo, std::int64_t hi,
-                               std::int8_t* codes, float* scales) {
-          STOF_CHECK(lo == 0 && hi == total,
-                     "whole-tensor panels convert in full");
-          quant(codes, scales);
-        };
+    const auto wrap = [total](const auto& quant) {
+      return [total, &quant](std::int64_t lo, std::int64_t hi,
+                             std::int8_t* codes, float* scales) {
+        STOF_CHECK(lo == 0 && hi == total,
+                   "whole-tensor panels convert in full");
+        quant(codes, scales);
       };
-      k8_ref_ = registry->get_or_convert_int8(
-          {k.storage_id(), k_layout | core::kPanelInt8}, k.version(), total,
-          total, panel, wrap(k_quant));
-      v8_ref_ = registry->get_or_convert_int8(
-          {v.storage_id(), core::kPanelRowMajor | core::kPanelInt8},
-          v.version(), total, total, panel, wrap(v_quant));
-      k8_data_ = k8_ref_.data();
-      v8_data_ = v8_ref_.data();
-      k_scales_ = k8_ref_.scale_data();
-      v_scales_ = v8_ref_.scale_data();
-      if (k8_ref_.converted_elems > 0) converted_panels += kv_instances;
-      if (v8_ref_.converted_elems > 0) converted_panels += kv_instances;
-    } else {
-      k_i8_.resize(static_cast<std::size_t>(total));
-      v_i8_.resize(static_cast<std::size_t>(total));
-      k_scales_own_.resize(static_cast<std::size_t>(kv_instances));
-      v_scales_own_.resize(static_cast<std::size_t>(kv_instances));
-      k_quant(k_i8_.data(), k_scales_own_.data());
-      v_quant(v_i8_.data(), v_scales_own_.data());
-      k8_data_ = k_i8_.data();
-      v8_data_ = v_i8_.data();
-      k_scales_ = k_scales_own_.data();
-      v_scales_ = v_scales_own_.data();
-      converted_panels = 2 * kv_instances;
-    }
+    };
+    k8_ref_ = registry.get_or_convert_int8(
+        {k.storage_id(), k_variant | core::kPanelInt8}, k.version(), total,
+        total, panel, wrap(k_quant));
+    v8_ref_ = registry.get_or_convert_int8(
+        {v.storage_id(), core::kPanelRowMajor | core::kPanelInt8},
+        v.version(), total, total, panel, wrap(v_quant));
+    k8_data_ = k8_ref_.data();
+    v8_data_ = v8_ref_.data();
+    k_scales_ = k8_ref_.scale_data();
+    v_scales_ = v8_ref_.scale_data();
+    if (k8_ref_.converted_elems > 0) converted_panels += kv_instances;
+    if (v8_ref_.converted_elems > 0) converted_panels += kv_instances;
     if (converted_panels > 0) {
       telemetry::count("exec.mha.panels_converted", converted_panels);
     }
     return;
   }
-  if (registry != nullptr) {
-    // Cross-call mode: panels are keyed on each tensor's storage identity
-    // (plus layout variant) and tagged with its mutation stamp, so an
-    // unmodified tensor converts once across any number of kernel calls
-    // while any write forces a fresh conversion.  These whole-tensor
-    // panels never extend incrementally — a version bump reconverts all
-    // of them — so the converter always receives the full [0, total).
-    const auto k_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
-      STOF_CHECK(lo == 0 && hi == total,
-                 "whole-tensor panels convert in full");
-      if (transpose_k) {
-        convert_transposed(k, kv_instances, seq_, d_, dst);
-      } else {
-        convert_row_major(k, kv_instances, panel, dst);
-      }
-    };
-    const auto v_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
-      STOF_CHECK(lo == 0 && hi == total,
-                 "whole-tensor panels convert in full");
-      convert_row_major(v, kv_instances, panel, dst);
-    };
-    // A transposed panel's layout depends on the (seq, d) factorisation,
-    // so the variant encodes it; row-major layout is factorisation-free.
-    const std::uint64_t k_variant =
-        transpose_k ? core::kPanelTransposed |
-                          (static_cast<std::uint64_t>(seq_) << 8) |
-                          (static_cast<std::uint64_t>(d_) << 36)
-                    : core::kPanelRowMajor;
-    k_ref_ = registry->get_or_convert({k.storage_id(), k_variant}, k.version(),
-                                      total, total, k_convert);
-    v_ref_ = registry->get_or_convert({v.storage_id(), core::kPanelRowMajor},
-                                      v.version(), total, total, v_convert);
-    k_data_ = k_ref_.data();
-    v_data_ = v_ref_.data();
-    if (k_ref_.converted_elems > 0) converted_panels += kv_instances;
-    if (v_ref_.converted_elems > 0) converted_panels += kv_instances;
-  } else {
-    // Owning mode: per-call conversion (every construction pays in full).
-    k_f32_.resize(static_cast<std::size_t>(total));
-    v_f32_.resize(static_cast<std::size_t>(total));
+  const auto k_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
+    STOF_CHECK(lo == 0 && hi == total, "whole-tensor panels convert in full");
     if (transpose_k) {
-      convert_transposed(k, kv_instances, seq_, d_, k_f32_.data());
+      convert_transposed(k, kv_instances, seq_, d_, dst);
     } else {
-      convert_row_major(k, kv_instances, panel, k_f32_.data());
+      convert_row_major(k, kv_instances, panel, dst);
     }
-    convert_row_major(v, kv_instances, panel, v_f32_.data());
-    k_data_ = k_f32_.data();
-    v_data_ = v_f32_.data();
-    converted_panels = 2 * kv_instances;
-  }
+  };
+  const auto v_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
+    STOF_CHECK(lo == 0 && hi == total, "whole-tensor panels convert in full");
+    convert_row_major(v, kv_instances, panel, dst);
+  };
+  k_ref_ = registry.get_or_convert({k.storage_id(), k_variant}, k.version(),
+                                   total, total, k_convert);
+  v_ref_ = registry.get_or_convert({v.storage_id(), core::kPanelRowMajor},
+                                   v.version(), total, total, v_convert);
+  k_data_ = k_ref_.data();
+  v_data_ = v_ref_.data();
+  if (k_ref_.converted_elems > 0) converted_panels += kv_instances;
+  if (v_ref_.converted_elems > 0) converted_panels += kv_instances;
   // One K and one V panel per instance when conversion actually ran;
   // registry hits reuse earlier conversions and count nothing.
   if (converted_panels > 0) {

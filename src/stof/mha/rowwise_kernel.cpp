@@ -32,7 +32,7 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
   std::optional<KvPanelCache> panels;
   if (use_packed) {
     panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/false,
-                   &core::global_panel_cache());
+                   core::global_panel_cache());
   }
 
   parallel_for_scratch(0, dims.instances() * n, [&](std::int64_t row,

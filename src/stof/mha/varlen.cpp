@@ -56,7 +56,7 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
       dims.kv_head_count() == dims.heads) {
     batch_panels.emplace(k, v, dims.kv_instances(), dims.seq_len,
                          dims.head_size, /*transpose_k=*/true,
-                         &core::global_panel_cache(), params.kv_precision);
+                         core::global_panel_cache(), params.kv_precision);
   }
 
   // One single-element attention per batch entry against its own BSR.  The

@@ -44,18 +44,15 @@ constexpr std::uint64_t kSpecCoinSalt = 0x5bec5bec5bec5becull;
 /// KV/query bits differ from the true stream without touching it.
 constexpr std::uint64_t kSpecDraftSalt = 0xd12a'fced'0badull;
 
+/// The draft pass of speculative decoding (cost model only): one head
+/// over a sliding window of the most recent context positions.
+constexpr std::int64_t kDraftHeads = 1;
+constexpr std::int64_t kDraftWindow = 64;
+
 [[nodiscard]] bool spec_coin(const Request& r, std::int64_t pos,
                              std::int64_t accept_pct) {
   const std::uint64_t h = fnv1a64(&pos, sizeof(pos), r.seed ^ kSpecCoinSalt);
   return static_cast<std::int64_t>(h % 100) < accept_pct;
-}
-
-/// The scheduler must reserve every KV slot a verify round appends (true
-/// token + k drafts), so a round can never fail an append mid-batch.
-[[nodiscard]] SchedulerConfig effective_scheduler(const EngineConfig& c) {
-  SchedulerConfig s = c.scheduler;
-  s.decode_appends = std::max(s.decode_appends, c.spec_draft_tokens + 1);
-  return s;
 }
 
 }  // namespace
@@ -63,8 +60,10 @@ constexpr std::uint64_t kSpecDraftSalt = 0xd12a'fced'0badull;
 Engine::Engine(const EngineConfig& config)
     : config_(config),
       pool_(KvPoolConfig{config.kv_blocks, config.block_tokens, config.heads,
-                         config.head_size}),
-      scheduler_(effective_scheduler(config)),
+                         config.head_size, config.kv_precision}),
+      // The scheduler reserves every KV slot a verify round appends (true
+      // token + k drafts), so a round can never fail an append mid-batch.
+      scheduler_(config.scheduler, config.spec_draft_tokens + 1),
       stream_(config.device) {
   config_.validate();
   if (config_.model.enabled()) {
@@ -121,14 +120,7 @@ const std::vector<std::int32_t>& Engine::cols_for(masks::PatternKind kind,
     rows.resize(static_cast<std::size_t>(config_.max_seq_len));
   }
   auto& entry = rows[static_cast<std::size_t>(row)];
-  if (!entry) {
-    const masks::Mask& mask = mask_for(kind);
-    std::vector<std::int32_t> cols;
-    for (std::int64_t j = 0; j <= row; ++j) {
-      if (mask.at(row, j)) cols.push_back(static_cast<std::int32_t>(j));
-    }
-    entry = std::move(cols);
-  }
+  if (!entry) entry = mha::decode_columns(mask_for(kind), row, row + 1);
   return *entry;
 }
 
@@ -423,15 +415,13 @@ double Engine::run_decode(const std::vector<SessionId>& ids,
   std::int64_t row = 0;
   for (const auto& r : rounds) {
     Session& s = table_.at(r.id);
-    // Bring the pool's FP32 or INT8 decode sidecar up to date: only the
-    // rows appended since the last call convert (quantize-once per page
-    // generation), and the kernel then reads the sidecar pages directly.
+    // Bring the pool's decode sidecar up to date: only the rows appended
+    // since the last call convert (quantize-once per page generation), and
+    // the packed kernel then reads the sidecar pages directly.
+    mha::KvSidecar sidecar;
     if (packed_execution_enabled()) {
-      if (config_.kv_precision == core::PanelPrecision::kInt8) {
-        pool_.ensure_int8_panels(r.id);
-      } else {
-        pool_.ensure_float_panels(r.id);
-      }
+      pool_.ensure_sidecar(r.id);
+      sidecar = pool_.sidecar(r.id);
     }
     for (std::int64_t j = 0; j < r.rows; ++j, ++row) {
       const std::int64_t pos = r.pos + j;
@@ -443,24 +433,13 @@ double Engine::run_decode(const std::vector<SessionId>& ids,
       // the same pages but are never in its column list, so an accepted
       // row's output is bit-identical to the sequential decode of pos.
       const auto& cols = cols_for(s.request.mask_kind, pos);
-      mha::PagedSeq& seq = seqs[static_cast<std::size_t>(row)];
-      seq = mha::PagedSeq{pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
-                          pool_.v_blocks(r.id), cols};
-      if (packed_execution_enabled()) {
-        if (config_.kv_precision == core::PanelPrecision::kInt8) {
-          seq.k8_blocks = pool_.k_int8_blocks(r.id);
-          seq.v8_blocks = pool_.v_int8_blocks(r.id);
-          seq.k8_scales = pool_.k_int8_scales(r.id);
-          seq.v8_scales = pool_.v_int8_scales(r.id);
-        } else {
-          seq.kf_blocks = pool_.k_float_blocks(r.id);
-          seq.vf_blocks = pool_.v_float_blocks(r.id);
-        }
-      }
+      seqs[static_cast<std::size_t>(row)] =
+          mha::PagedSeq{pos + 1, config_.block_tokens, pool_.k_blocks(r.id),
+                        pool_.v_blocks(r.id), cols, sidecar};
       valid.push_back(static_cast<std::int64_t>(cols.size()));
       // The draft pass proposes row j's token from a sliding KV window.
       if (j >= 1) {
-        draft_valid.push_back(std::min(pos, config_.spec_draft_window));
+        draft_valid.push_back(std::min(pos, kDraftWindow));
       }
     }
     seq_rows.push_back(r.rows);
@@ -471,7 +450,7 @@ double Engine::run_decode(const std::vector<SessionId>& ids,
   if (!draft_valid.empty()) {
     us += stream_.launch(
         "serve.spec.draft",
-        mha::decode_batched_cost(config_.spec_draft_heads, d, draft_valid,
+        mha::decode_batched_cost(kDraftHeads, d, draft_valid,
                                  config_.device));
   }
   us += stream_.launch(
@@ -511,7 +490,6 @@ double Engine::run_decode(const std::vector<SessionId>& ids,
               : folded.data().subspan(
                     static_cast<std::size_t>((committed + j) * hd),
                     static_cast<std::size_t>(hd));
-      if (on_decode_output) on_decode_output(r.id, r.pos + j, out_row);
       fold_output_row(s, r.pos + j, dig_row, out_row);
     }
     row += r.rows;
@@ -544,7 +522,7 @@ double Engine::run_decode(const std::vector<SessionId>& ids,
 }
 
 std::optional<StepOutcome> Engine::execute_step() {
-  StepPlan plan = scheduler_.plan_step(table_, pool_, step_count_);
+  StepPlan plan = scheduler_.plan_step(table_, pool_);
   if (plan.empty()) return std::nullopt;
 
   StepOutcome outcome;

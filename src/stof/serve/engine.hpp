@@ -70,24 +70,22 @@ struct EngineConfig {
   std::int64_t kv_blocks = 96;     ///< KV pool capacity in blocks
   std::int64_t block_tokens = 16;  ///< KV page size, must equal BLOCK_N
   mha::BlockwiseParams prefill_params{16, 16};
-  /// Storage tier of the decode path's KV sidecar (packed mode only).
-  /// kInt8 reads quantized KV pages (one scale per token row) through the
-  /// paged-decode kernel's int8 path: deterministic — digests still match
-  /// across scheduling orders — but not bit-identical to FP32, and the
-  /// per-step conversion traffic roughly halves.  Prefill always runs
-  /// FP32 (its outputs feed the bit-exact digest contract directly).
+  /// Storage tier of the KV pool's decode sidecar, which the packed
+  /// paged-decode kernel reads (the scalar path reads the half pages).
+  /// kInt8 reads quantized KV pages (one scale per token row):
+  /// deterministic — digests still match across scheduling orders — but
+  /// not bit-identical to FP32, and the per-step conversion traffic
+  /// roughly halves.  Prefill always runs FP32 (its outputs feed the
+  /// bit-exact digest contract directly).
   core::PanelPrecision kv_precision = core::PanelPrecision::kFloat32;
   /// Draft-and-verify speculative decoding: > 0 proposes that many draft
-  /// tokens per decode round through a cheap draft pass (spec_draft_heads
-  /// heads over a spec_draft_window sliding KV window — cost model only),
-  /// then verifies true-token + draft rows in ONE batched paged-decode
-  /// launch.  The longest accepted draft prefix plus the guaranteed true
+  /// tokens per decode round through a cheap draft pass (one head over a
+  /// 64-token sliding KV window — cost model only), then verifies
+  /// true-token + draft rows in ONE batched paged-decode launch.  The longest accepted draft prefix plus the guaranteed true
   /// token commit; rejected KV slots roll back exactly (KvPool::truncate),
   /// so per-session outputs and digests are byte-identical to plain
   /// decoding.  0 is plain decoding: one row per session, no draft pass.
   std::int64_t spec_draft_tokens = 0;
-  std::int64_t spec_draft_heads = 1;
-  std::int64_t spec_draft_window = 64;
   /// Simulated draft accuracy: percent of drafted positions whose proposal
   /// matches the true token stream (seeded per-position coin, so replay is
   /// deterministic and acceptance is measurable from telemetry).
@@ -122,9 +120,6 @@ struct EngineConfig {
                  "pool must hold at least one full context");
     STOF_EXPECTS(spec_draft_tokens >= 0);
     if (spec_draft_tokens > 0) {
-      STOF_EXPECTS(spec_draft_heads >= 1 && spec_draft_heads <= heads,
-                   "draft pass must be no wider than the target model");
-      STOF_EXPECTS(spec_draft_window >= 1);
       STOF_EXPECTS(spec_accept_pct >= 0 && spec_accept_pct <= 100);
     }
     model.validate();
@@ -232,20 +227,15 @@ class Engine {
   /// Invoked after every executed step (not for empty plans).
   std::function<void(const StepEvent&)> on_step;
 
-  /// Invoked for every decoded token's attention output (heads * head_size
-  /// halfs, position = the decoded token's index) as it is folded into the
-  /// session digest.  Benchmarks use it to measure the INT8 KV tier's
-  /// output error against an FP32 reference run of the same trace.
-  std::function<void(SessionId, std::int64_t, std::span<const half>)>
-      on_decode_output;
-
   /// Invoked for EVERY attention-output row (prefill and decode alike) at
   /// the exact point it is folded into the session digest, in fold order:
   /// (session, position, heads * head_size halfs).  The cluster runtime
   /// installs this on each shard to gather the per-shard head slices and
   /// re-fold them in fixed shard order, reproducing the single-device
   /// digest bit-for-bit.  Only locally folded rows fire: prefix-adopted
-  /// positions are never recomputed, so they fire on no shard.
+  /// positions are never recomputed, so they fire on no shard.  Prefill
+  /// folds only prompt rows, so rows with pos >= prompt_len are exactly
+  /// the decoded tokens' outputs.
   std::function<void(SessionId, std::int64_t, std::span<const half>)>
       on_output_row;
 

@@ -242,13 +242,17 @@ void KvPool::unref_block(std::int32_t block) {
 void KvPool::invalidate_block_panels(std::int32_t block) {
   const auto bi = static_cast<std::size_t>(block);
   // A recycled (or row-shrunk) page must never serve its previous bytes'
-  // floats or int8 codes: drop the registry entries now and bump the
-  // generation so even a racing stale handle could not be re-validated.
-  registry_->invalidate({k_keys_[bi], core::kPanelRowMajor});
-  registry_->invalidate({v_keys_[bi], core::kPanelRowMajor});
-  registry_->invalidate({k_keys_[bi], core::kPanelRowMajor | core::kPanelInt8});
-  registry_->invalidate({v_keys_[bi], core::kPanelRowMajor | core::kPanelInt8});
+  // panels: drop the registry entries now and bump the generation so even
+  // a racing stale handle could not be re-validated.
+  registry_->invalidate({k_keys_[bi], sidecar_variant()});
+  registry_->invalidate({v_keys_[bi], sidecar_variant()});
   ++block_gen_[bi];
+}
+
+std::uint64_t KvPool::sidecar_variant() const {
+  return config_.sidecar_precision == core::PanelPrecision::kInt8
+             ? core::kPanelRowMajor | core::kPanelInt8
+             : core::kPanelRowMajor;
 }
 
 bool KvPool::cow_tail(SessionBlocks& sb) {
@@ -265,7 +269,7 @@ bool KvPool::cow_tail(SessionBlocks& sb) {
   sb.v_ptrs.back() = v_base(fresh);
   sb.cow_pending = false;
   // Sidecar state for the tail page is per-ensure anyway: the tail is
-  // partial, so converted_blocks/_i8 never cover it and the next ensure
+  // partial, so converted_blocks never covers it and the next ensure
   // re-resolves the page under the fresh block's key.
   peak_used_ = std::max(peak_used_, used_blocks());
   telemetry::count("serve.prefix.cow_copies", 1);
@@ -427,19 +431,10 @@ void KvPool::truncate(SessionId id, std::int64_t new_tokens) {
       v.resize(static_cast<std::size_t>(keep));
     }
   };
-  clamp(sb.kf_ptrs);
-  clamp(sb.vf_ptrs);
-  clamp(sb.kf_refs);
-  clamp(sb.vf_refs);
-  clamp(sb.k8_ptrs);
-  clamp(sb.v8_ptrs);
-  clamp(sb.k8_scale_ptrs);
-  clamp(sb.v8_scale_ptrs);
-  clamp(sb.k8_refs);
-  clamp(sb.v8_refs);
-  const std::int64_t full = new_tokens / config_.block_tokens;
-  sb.converted_blocks = std::min(sb.converted_blocks, full);
-  sb.converted_blocks_i8 = std::min(sb.converted_blocks_i8, full);
+  clamp(sb.sidecar);
+  clamp(sb.pins);
+  sb.converted_blocks =
+      std::min(sb.converted_blocks, new_tokens / config_.block_tokens);
   sb.tokens = new_tokens;
   if (new_tokens % config_.block_tokens != 0) {
     // The surviving tail lost rows; future appends rewrite them with
@@ -513,18 +508,47 @@ std::span<const half* const> KvPool::v_blocks(SessionId id) const {
   return it->second.v_ptrs;
 }
 
-void KvPool::ensure_float_panels(SessionId id) {
+std::int64_t KvPool::convert_panel(std::uint64_t storage, std::uint64_t gen,
+                                   const half* src, std::int64_t valid,
+                                   mha::SidecarPanel& view, PanelPin& pin) {
+  const std::int64_t total = config_.block_elems();
+  if (config_.sidecar_precision == core::PanelPrecision::kInt8) {
+    // One scale per token row keeps extension exact: a row's codes never
+    // depend on later rows, so quantize-once over a filling tail page
+    // equals a fresh full quantize.
+    const std::int64_t row = config_.heads * config_.head_size;
+    const core::Int8PanelRef ref = registry_->get_or_convert_int8(
+        {storage, sidecar_variant()}, gen, total, valid, row,
+        [src, row](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
+                   float* scales) {
+          packed::quantize_halfs({src + lo, static_cast<std::size_t>(hi - lo)},
+                                 row, codes + lo, scales + lo / row);
+        });
+    view = {nullptr, ref.data(), ref.scale_data()};
+    pin = {ref.codes, ref.scales};
+    return ref.converted_elems;
+  }
+  const core::PanelRef ref = registry_->get_or_convert(
+      {storage, sidecar_variant()}, gen, total, valid,
+      [src](std::int64_t lo, std::int64_t hi, float* dst) {
+        packed::half_to_float({src + lo, static_cast<std::size_t>(hi - lo)},
+                              {dst + lo, static_cast<std::size_t>(hi - lo)});
+      });
+  view = {ref.data(), nullptr, nullptr};
+  pin = {ref.buffer, nullptr};
+  return ref.converted_elems;
+}
+
+void KvPool::ensure_sidecar(SessionId id) {
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return;
   SessionBlocks& sb = it->second;
   const std::int64_t bt = config_.block_tokens;
-  const std::int64_t block_elems = config_.block_elems();
+  const std::int64_t row = config_.heads * config_.head_size;
   const auto nblocks = static_cast<std::int64_t>(sb.block_ids.size());
-  sb.kf_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.vf_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.kf_refs.resize(static_cast<std::size_t>(nblocks));
-  sb.vf_refs.resize(static_cast<std::size_t>(nblocks));
-  std::int64_t sidecar_elems = 0;
+  sb.sidecar.resize(static_cast<std::size_t>(nblocks));
+  sb.pins.resize(static_cast<std::size_t>(nblocks));
+  std::int64_t converted = 0;
   // Leading `converted_blocks` pages are full and pinned — their half rows
   // can no longer change while this session holds them, so only the tail
   // (partially filled or newly allocated pages) is visited.  This is the
@@ -533,36 +557,20 @@ void KvPool::ensure_float_panels(SessionId id) {
     const auto pi = static_cast<std::size_t>(p);
     const std::int32_t block = sb.block_ids[pi];
     const auto bi = static_cast<std::size_t>(block);
-    const std::int64_t filled = std::min(bt, sb.tokens - p * bt);
-    const std::int64_t valid =
-        filled * config_.heads * config_.head_size;
-    const half* ks = k_base(block);
-    const half* vs = v_base(block);
-    const auto k_convert = [ks](std::int64_t lo, std::int64_t hi,
-                                float* dst) {
-      packed::half_to_float({ks + lo, static_cast<std::size_t>(hi - lo)},
-                            {dst + lo, static_cast<std::size_t>(hi - lo)});
-    };
-    const auto v_convert = [vs](std::int64_t lo, std::int64_t hi,
-                                float* dst) {
-      packed::half_to_float({vs + lo, static_cast<std::size_t>(hi - lo)},
-                            {dst + lo, static_cast<std::size_t>(hi - lo)});
-    };
-    sb.kf_refs[pi] = registry_->get_or_convert(
-        {k_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
-        valid, k_convert);
-    sb.vf_refs[pi] = registry_->get_or_convert(
-        {v_keys_[bi], core::kPanelRowMajor}, block_gen_[bi], block_elems,
-        valid, v_convert);
-    sb.kf_ptrs[pi] = sb.kf_refs[pi].data();
-    sb.vf_ptrs[pi] = sb.vf_refs[pi].data();
-    sidecar_elems += sb.kf_refs[pi].converted_elems +
-                     sb.vf_refs[pi].converted_elems;
+    const std::int64_t valid = std::min(bt, sb.tokens - p * bt) * row;
+    converted += convert_panel(k_keys_[bi], block_gen_[bi], k_base(block),
+                               valid, sb.sidecar[pi].k, sb.pins[pi].k);
+    converted += convert_panel(v_keys_[bi], block_gen_[bi], v_base(block),
+                               valid, sb.sidecar[pi].v, sb.pins[pi].v);
   }
-  // Decode-sidecar traffic alone (prefill panels excluded): float views
-  // write 2 bytes/elem, mirroring exec.panelcache.bytes_converted units.
-  if (sidecar_elems > 0) {
-    telemetry::count("serve.kv.sidecar_bytes_converted", 2 * sidecar_elems);
+  // Decode-sidecar traffic alone (prefill panels excluded), in
+  // exec.panelcache.bytes_converted units: 2 bytes per float element, 1
+  // per INT8 code — the INT8 tier's headline saving.
+  if (converted > 0) {
+    const std::int64_t bytes_per_elem =
+        config_.sidecar_precision == core::PanelPrecision::kInt8 ? 1 : 2;
+    telemetry::count("serve.kv.sidecar_bytes_converted",
+                     bytes_per_elem * converted);
   }
   while (sb.converted_blocks < nblocks &&
          (sb.converted_blocks + 1) * bt <= sb.tokens) {
@@ -570,99 +578,10 @@ void KvPool::ensure_float_panels(SessionId id) {
   }
 }
 
-void KvPool::ensure_int8_panels(SessionId id) {
+mha::KvSidecar KvPool::sidecar(SessionId id) const {
   const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return;
-  SessionBlocks& sb = it->second;
-  const std::int64_t bt = config_.block_tokens;
-  const std::int64_t block_elems = config_.block_elems();
-  const std::int64_t row = config_.heads * config_.head_size;
-  const auto nblocks = static_cast<std::int64_t>(sb.block_ids.size());
-  sb.k8_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.v8_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.k8_scale_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.v8_scale_ptrs.resize(static_cast<std::size_t>(nblocks));
-  sb.k8_refs.resize(static_cast<std::size_t>(nblocks));
-  sb.v8_refs.resize(static_cast<std::size_t>(nblocks));
-  std::int64_t sidecar_elems = 0;
-  // Same skip-prefix scheme as the float sidecar.  One scale per token row
-  // keeps extension exact: a row's codes never depend on later rows, so
-  // quantize-once over a filling tail page equals a fresh full quantize.
-  for (std::int64_t p = sb.converted_blocks_i8; p < nblocks; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    const std::int32_t block = sb.block_ids[pi];
-    const auto bi = static_cast<std::size_t>(block);
-    const std::int64_t filled = std::min(bt, sb.tokens - p * bt);
-    const std::int64_t valid = filled * row;
-    const half* ks = k_base(block);
-    const half* vs = v_base(block);
-    const auto quant = [row](const half* src) {
-      return [src, row](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
-                        float* scales) {
-        packed::quantize_halfs({src + lo, static_cast<std::size_t>(hi - lo)},
-                               row, codes + lo, scales + lo / row);
-      };
-    };
-    sb.k8_refs[pi] = registry_->get_or_convert_int8(
-        {k_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
-        block_gen_[bi], block_elems, valid, row, quant(ks));
-    sb.v8_refs[pi] = registry_->get_or_convert_int8(
-        {v_keys_[bi], core::kPanelRowMajor | core::kPanelInt8},
-        block_gen_[bi], block_elems, valid, row, quant(vs));
-    sb.k8_ptrs[pi] = sb.k8_refs[pi].data();
-    sb.v8_ptrs[pi] = sb.v8_refs[pi].data();
-    sb.k8_scale_ptrs[pi] = sb.k8_refs[pi].scale_data();
-    sb.v8_scale_ptrs[pi] = sb.v8_refs[pi].scale_data();
-    sidecar_elems += sb.k8_refs[pi].converted_elems +
-                     sb.v8_refs[pi].converted_elems;
-  }
-  // INT8 codes are 1 byte/elem — half the float sidecar's traffic for the
-  // same appended rows, which is the tier's headline saving.
-  if (sidecar_elems > 0) {
-    telemetry::count("serve.kv.sidecar_bytes_converted", sidecar_elems);
-  }
-  while (sb.converted_blocks_i8 < nblocks &&
-         (sb.converted_blocks_i8 + 1) * bt <= sb.tokens) {
-    ++sb.converted_blocks_i8;
-  }
-}
-
-std::span<const std::int8_t* const> KvPool::k_int8_blocks(
-    SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.k8_ptrs;
-}
-
-std::span<const std::int8_t* const> KvPool::v_int8_blocks(
-    SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.v8_ptrs;
-}
-
-std::span<const float* const> KvPool::k_int8_scales(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.k8_scale_ptrs;
-}
-
-std::span<const float* const> KvPool::v_int8_scales(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.v8_scale_ptrs;
-}
-
-std::span<const float* const> KvPool::k_float_blocks(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.kf_ptrs;
-}
-
-std::span<const float* const> KvPool::v_float_blocks(SessionId id) const {
-  const auto it = by_session_.find(id);
-  if (it == by_session_.end()) return {};
-  return it->second.vf_ptrs;
+  if (it == by_session_.end()) return {config_.sidecar_precision, {}};
+  return {config_.sidecar_precision, it->second.sidecar};
 }
 
 void KvPool::release(SessionId id) {

@@ -23,7 +23,7 @@
 // copies the page's valid rows into a private block first (CoW), so a
 // shared page's bytes are immutable for as long as anything references
 // it.  release()/truncate() are refcount-aware: a block is recycled (and
-// its generation bumped, invalidating float/INT8 panels) only when the
+// its generation bumped, invalidating its sidecar panels) only when the
 // last owner drops it — shared pages therefore keep one PanelCacheRegistry
 // key across owners, and a prefix hit is also a panel-cache hit.  Pages
 // held only by the tree are reclaimed LRU-subtree-first when the free
@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -41,6 +42,7 @@
 #include "stof/core/checksum.hpp"
 #include "stof/core/half.hpp"
 #include "stof/core/panel_cache_registry.hpp"
+#include "stof/mha/decode.hpp"
 #include "stof/serve/request.hpp"
 
 namespace stof::serve {
@@ -50,6 +52,9 @@ struct KvPoolConfig {
   std::int64_t block_tokens = 0;  ///< positions per block (power of two)
   std::int64_t heads = 0;
   std::int64_t head_size = 0;
+  /// Tier of the decode sidecar ensure_sidecar() builds: exact FP32 panels
+  /// or INT8 codes with one scale per token row.
+  core::PanelPrecision sidecar_precision = core::PanelPrecision::kFloat32;
 
   void validate() const {
     STOF_EXPECTS(num_blocks > 0 && heads > 0 && head_size > 0);
@@ -146,14 +151,15 @@ class PrefixIndex {
 
 /// Bounded paged KV-cache with per-session block lists.
 ///
-/// Float-panel sidecar: ensure_float_panels() materialises FP32 views of a
-/// session's KV pages through the cross-call PanelCacheRegistry, converting
-/// only pages (or page suffixes) appended since the last call — per-step
-/// conversion work is O(new tokens), not O(prefix).  Fully converted leading
-/// pages are pinned (PanelRef) and skipped on later calls.  release()
-/// invalidates the registry entries and bumps each page's generation, so a
-/// recycled page can never serve another session's stale floats; a preempted
-/// session that recomputes its prefix therefore stays bit-identical.
+/// Decode sidecar: ensure_sidecar() materialises the pool's sidecar tier
+/// (FP32 or INT8, fixed at construction) of a session's KV pages through
+/// the cross-call PanelCacheRegistry, converting only pages (or page
+/// suffixes) appended since the last call — per-step conversion work is
+/// O(new tokens), not O(prefix).  Fully converted leading pages are pinned
+/// and skipped on later calls.  release() invalidates the registry entries
+/// and bumps each page's generation, so a recycled page can never serve
+/// another session's stale panels; a preempted session that recomputes its
+/// prefix therefore stays bit-identical.
 class KvPool {
  public:
   explicit KvPool(const KvPoolConfig& config,
@@ -279,68 +285,49 @@ class KvPool {
   [[nodiscard]] std::span<const half* const> k_blocks(SessionId id) const;
   [[nodiscard]] std::span<const half* const> v_blocks(SessionId id) const;
 
-  /// Bring the session's float-panel sidecar up to date with its half
-  /// pages: converts only rows not already covered by the registry (new
-  /// pages, or the growing suffix of the tail page).  After this call,
-  /// k_float_blocks()/v_float_blocks() cover every cached token of `id`.
-  /// No-op for sessions that hold nothing.
-  void ensure_float_panels(SessionId id);
+  /// Bring the session's sidecar up to date with its half pages: converts
+  /// only rows not already covered by the registry (new pages, or the
+  /// growing suffix of the tail page).  After this call, sidecar() covers
+  /// every cached token of `id`.  The FP32 tier converts 2 bytes per new
+  /// element, the INT8 tier 1 (serve.kv.sidecar_bytes_converted); INT8
+  /// quantizes each token row against its own scale, so the quantize-once
+  /// extension of a filling tail page is exact.  No-op for sessions that
+  /// hold nothing.
+  void ensure_sidecar(SessionId id);
 
-  /// Per-block FP32 views matching k_blocks()/v_blocks(), valid until the
-  /// next ensure_float_panels() or release() for this id.  Empty until
-  /// ensure_float_panels() has run for the session.
-  [[nodiscard]] std::span<const float* const> k_float_blocks(
-      SessionId id) const;
-  [[nodiscard]] std::span<const float* const> v_float_blocks(
-      SessionId id) const;
-
-  /// INT8 twin of ensure_float_panels: per-block code panels with one
-  /// symmetric scale per token row (scale group = heads * head_size), so a
-  /// row's codes depend only on that row's values and the quantize-once
-  /// extension of a filling tail page is exact.  Converts 1 byte per new
-  /// element instead of the float sidecar's 2 — the INT8 tier's traffic
-  /// saving.  A session uses either sidecar, per EngineConfig::kv_precision.
-  void ensure_int8_panels(SessionId id);
-
-  /// Per-block INT8 views matching k_blocks()/v_blocks(): codes plus one
-  /// scale per token row of each block.  Valid until the next
-  /// ensure_int8_panels() or release(); empty until the first ensure.
-  [[nodiscard]] std::span<const std::int8_t* const> k_int8_blocks(
-      SessionId id) const;
-  [[nodiscard]] std::span<const std::int8_t* const> v_int8_blocks(
-      SessionId id) const;
-  [[nodiscard]] std::span<const float* const> k_int8_scales(
-      SessionId id) const;
-  [[nodiscard]] std::span<const float* const> v_int8_scales(
-      SessionId id) const;
+  /// Per-block sidecar views matching k_blocks()/v_blocks(), valid until
+  /// the next ensure_sidecar() or release() for this id.  No pages until
+  /// ensure_sidecar() has run for the session.
+  [[nodiscard]] mha::KvSidecar sidecar(SessionId id) const;
 
   /// Return every block held by `id` to the free list (preemption or
-  /// completion) and invalidate its float panels.  No-op for sessions that
+  /// completion) and invalidate its sidecar panels.  No-op for sessions that
   /// hold nothing.
   void release(SessionId id);
 
  private:
+  /// Shared ownership of one sidecar panel's buffers (codes and scales for
+  /// INT8), so registry eviction cannot free a panel a session still reads.
+  struct PanelPin {
+    std::shared_ptr<const void> data;
+    std::shared_ptr<const void> scales;
+  };
+  struct PagePins {
+    PanelPin k;
+    PanelPin v;
+  };
+
   struct SessionBlocks {
     std::vector<std::int32_t> block_ids;
     std::vector<const half*> k_ptrs;
     std::vector<const half*> v_ptrs;
     std::int64_t tokens = 0;
-    // Float-panel sidecar state (filled by ensure_float_panels).
-    std::vector<const float*> kf_ptrs;
-    std::vector<const float*> vf_ptrs;
-    std::vector<core::PanelRef> kf_refs;  ///< pins keeping buffers alive
-    std::vector<core::PanelRef> vf_refs;
+    // Decode sidecar state (filled by ensure_sidecar).
+    std::vector<mha::SidecarPage> sidecar;
+    std::vector<PagePins> pins;  ///< keep the sidecar buffers alive
     /// Leading blocks whose panels are full and pinned — skipped on the
     /// next ensure (their half content can no longer change while held).
     std::int64_t converted_blocks = 0;
-    // INT8 sidecar state (filled by ensure_int8_panels).
-    std::vector<const std::int8_t*> k8_ptrs;
-    std::vector<const std::int8_t*> v8_ptrs;
-    std::vector<const float*> k8_scale_ptrs;
-    std::vector<const float*> v8_scale_ptrs;
-    std::vector<core::Int8PanelRef> k8_refs;
-    std::vector<core::Int8PanelRef> v8_refs;
-    std::int64_t converted_blocks_i8 = 0;
     /// Force copy-on-write on the next partial-tail append even if the
     /// tail's refcount has dropped back to 1.  Set when the session adopts
     /// (or truncates onto) a shared partial page: the page's registry
@@ -363,9 +350,17 @@ class KvPool {
   /// Drop one reference to `block`; on zero, recycle it (free list +
   /// panel invalidation + generation bump).
   void unref_block(std::int32_t block);
-  /// Invalidate every sidecar panel entry of `block` and bump its
+  /// Invalidate the sidecar panel entries of `block` and bump its
   /// generation.
   void invalidate_block_panels(std::int32_t block);
+  /// Registry variant of this pool's sidecar panels.
+  [[nodiscard]] std::uint64_t sidecar_variant() const;
+  /// Bring one side of a sidecar page up to its first `valid` elements of
+  /// `src` (registry storage key `storage`, block generation `gen`),
+  /// refreshing `view` and `pin`.  Returns the elements converted.
+  std::int64_t convert_panel(std::uint64_t storage, std::uint64_t gen,
+                             const half* src, std::int64_t valid,
+                             mha::SidecarPanel& view, PanelPin& pin);
 
   [[nodiscard]] half* k_base(std::int32_t block) {
     return k_arena_.data() +

@@ -17,6 +17,11 @@ namespace stof::serve {
 
 namespace {
 
+/// FFN width as a multiple of the hidden width (4 in BERT/GPT-2).
+constexpr std::int64_t kFfnMult = 4;
+/// Seed of the layer head's weight streams.
+constexpr std::uint64_t kWeightSeed = 0x57eadfa571ull;
+
 /// Weight stream tags — part of the (seed, layer, tag) hash, so every
 /// parameter tensor draws from an independent deterministic stream.
 enum class WeightTag : int {
@@ -86,7 +91,6 @@ std::string to_string(ModelKind kind) {
 void ModelSpec::validate() const {
   if (!enabled()) return;
   STOF_EXPECTS(layers >= 1, "a model needs at least one layer");
-  STOF_EXPECTS(ffn_mult >= 1, "FFN must be at least hidden-wide");
 }
 
 ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
@@ -107,7 +111,7 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
   if (!with_weights) return;
 
   // The head runs every node outside the attention spans (kQkvProj through
-  // kPvGemm).  Weights draw from (weight_seed, layer, tag) streams, the tag
+  // kPvGemm).  Weights draw from (kWeightSeed, layer, tag) streams, the tag
   // set by the node's place in its layer.  Fan-in scaled weights keep
   // activations O(1) through any depth (LayerNorm re-centers between
   // layers); B panels convert once, after every weight is drawn, not on
@@ -129,7 +133,7 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
     }
     const auto stream = [&](WeightTag tag, int offset = 0) {
       return weight_stream(
-          spec_.weight_seed, layer,
+          kWeightSeed, layer,
           static_cast<WeightTag>(static_cast<int>(tag) + offset));
     };
     models::NodeWeights w;
@@ -179,7 +183,7 @@ graph::Graph ModelRuntime::build_graph(std::int64_t rows) const {
   lc.seq_len = rows;
   lc.hidden = hidden_;
   lc.heads = heads_;
-  lc.ffn_dim = spec_.ffn_mult * hidden_;
+  lc.ffn_dim = kFfnMult * hidden_;
   const int layers = static_cast<int>(spec_.layers);
   switch (spec_.kind) {
     case ModelKind::kBertEncoder:

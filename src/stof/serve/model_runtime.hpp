@@ -66,15 +66,11 @@ enum class ModelKind {
 struct ModelSpec {
   ModelKind kind = ModelKind::kNone;
   std::int64_t layers = 2;
-  /// FFN width as a multiple of the hidden width (4 in BERT/GPT-2).
-  std::int64_t ffn_mult = 4;
   /// true: tuned fused-segment execution; false: launch-per-op eager
   /// execution (the baseline timeline — digests are identical either way).
   bool fused = true;
   /// Persistent tuning-DB directory; empty tunes in memory only.
   std::string tune_db_dir;
-  /// Seed of the layer head's weight streams.
-  std::uint64_t weight_seed = 0x57eadfa571ull;
 
   [[nodiscard]] bool enabled() const { return kind != ModelKind::kNone; }
   void validate() const;

@@ -8,13 +8,39 @@
 
 namespace stof::serve {
 
-StepPlan Scheduler::plan_step(SessionTable& table, KvPool& pool,
-                              std::int64_t step) {
+StepPlan Scheduler::plan_step(SessionTable& table, KvPool& pool) {
   if (config_.mode == SchedulerMode::kSerial) {
     return plan_serial(table, pool);
   }
-  return config_.chunk_tokens > 0 ? plan_chunked(table, pool, step)
-                                  : plan_continuous(table, pool, step);
+  return config_.chunk_tokens > 0 ? plan_chunked(table, pool)
+                                  : plan_continuous(table, pool);
+}
+
+std::vector<SessionId> Scheduler::decoders_lru(const SessionTable& table) {
+  std::vector<SessionId> decoding = table.ids_in_phase(SessionPhase::kDecoding);
+  std::stable_sort(decoding.begin(), decoding.end(),
+                   [&](SessionId a, SessionId b) {
+                     return table.at(a).last_touch_step <
+                            table.at(b).last_touch_step;
+                   });
+  return decoding;
+}
+
+std::vector<SessionId> Scheduler::decode_batch(
+    std::vector<SessionId> decoders) const {
+  decoders.resize(std::min<std::size_t>(
+      decoders.size(), static_cast<std::size_t>(config_.max_decode_batch)));
+  return decoders;
+}
+
+std::int64_t Scheduler::decode_blocks_needed(
+    const KvPool& pool, const std::vector<SessionId>& selected) const {
+  // Fresh tail pages plus a possible CoW copy of a shared partial tail.
+  std::int64_t n = 0;
+  for (const auto id : selected) {
+    n += pool.append_reserve_blocks(id, decode_appends_);
+  }
+  return n;
 }
 
 SessionId Scheduler::pick_victim(const SessionTable& table,
@@ -108,42 +134,19 @@ std::vector<SessionId> Scheduler::admission_order(
   return order;
 }
 
-StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool,
-                                    std::int64_t step) {
-  (void)step;
+StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool) {
   StepPlan plan;
-
-  // Decode set: every active session, least-recently-decoded first so the
-  // batch cap (when it binds) round-robins instead of starving high ids.
-  std::vector<SessionId> decoding = table.ids_in_phase(SessionPhase::kDecoding);
-  std::stable_sort(decoding.begin(), decoding.end(),
-                   [&](SessionId a, SessionId b) {
-                     return table.at(a).last_touch_step <
-                            table.at(b).last_touch_step;
-                   });
-  std::vector<SessionId> selected(
-      decoding.begin(),
-      decoding.begin() +
-          std::min<std::size_t>(decoding.size(),
-                                static_cast<std::size_t>(
-                                    config_.max_decode_batch)));
+  std::vector<SessionId> decoding = decoders_lru(table);
+  std::vector<SessionId> selected = decode_batch(decoding);
 
   // KV pressure: reserve every allocation the selected decoders' appends
-  // will make this step (decode_appends slots each — fresh tail pages plus
-  // a possible CoW copy of a shared partial tail).  Tree-only pages count
-  // as obtainable (acquire reclaims them LRU-first), so the comparison is
-  // against allocatable, not free.  Preempt lowest-priority-idlest
-  // sessions until the pool can back them all; a victim re-queues at the
-  // *front* (it keeps its FIFO seniority) and re-prefills its full context
-  // on re-admission.
-  const auto blocks_needed = [&] {
-    std::int64_t n = 0;
-    for (const auto id : selected) {
-      n += pool.append_reserve_blocks(id, config_.decode_appends);
-    }
-    return n;
-  };
-  while (pool.allocatable_blocks() < blocks_needed() && !decoding.empty()) {
+  // will make this step.  Tree-only pages count as obtainable (acquire
+  // reclaims them LRU-first), so the comparison is against allocatable,
+  // not free.  Preempt lowest-priority-idlest sessions until the pool can
+  // back them all; a victim re-queues at the *front* (it keeps its FIFO
+  // seniority) and re-prefills its full context on re-admission.
+  while (pool.allocatable_blocks() < decode_blocks_needed(pool, selected) &&
+         !decoding.empty()) {
     const SessionId victim = pick_victim(table, decoding);
     evict(table, pool, plan, victim);
     std::erase(decoding, victim);
@@ -160,7 +163,7 @@ StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool,
   // prefilled); matched pages that were tree-only stop being reclaimable
   // once adopted, so the availability estimate subtracts the whole match —
   // conservative, never over-admitting.
-  std::int64_t reserved = blocks_needed();
+  std::int64_t reserved = decode_blocks_needed(pool, selected);
   std::int64_t admitted_tokens = 0;
   while (!waiting_.empty() &&
          static_cast<std::int64_t>(plan.prefills.size()) <
@@ -185,9 +188,7 @@ StepPlan Scheduler::plan_continuous(SessionTable& table, KvPool& pool,
   return plan;
 }
 
-StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
-                                 std::int64_t step) {
-  (void)step;
+StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool) {
   StepPlan plan;
 
   // Sessions whose prefix completed moved to kDecoding; evicted ones went
@@ -196,19 +197,7 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
     return table.at(id).phase != SessionPhase::kPrefilling;
   });
 
-  // Decode set: same policy as the whole-prefill planner.
-  std::vector<SessionId> decoding = table.ids_in_phase(SessionPhase::kDecoding);
-  std::stable_sort(decoding.begin(), decoding.end(),
-                   [&](SessionId a, SessionId b) {
-                     return table.at(a).last_touch_step <
-                            table.at(b).last_touch_step;
-                   });
-  std::vector<SessionId> selected(
-      decoding.begin(),
-      decoding.begin() +
-          std::min<std::size_t>(decoding.size(),
-                                static_cast<std::size_t>(
-                                    config_.max_decode_batch)));
+  std::vector<SessionId> selected = decode_batch(decoders_lru(table));
 
   // Anyone holding KV blocks — decoders and mid-prefill sessions alike —
   // is a preemption candidate.
@@ -222,13 +211,6 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
       }
     }
     return r;
-  };
-  const auto decode_blocks_needed = [&] {
-    std::int64_t n = 0;
-    for (const auto id : selected) {
-      n += pool.append_reserve_blocks(id, config_.decode_appends);
-    }
-    return n;
   };
 
   std::int64_t budget = config_.chunk_tokens;
@@ -255,12 +237,11 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
 
   // KV pressure from the decode batch (against allocatable: tree-only
   // pages are reclaimed by allocation before anyone is preempted).
-  while (pool.allocatable_blocks() < decode_blocks_needed()) {
+  while (pool.allocatable_blocks() < decode_blocks_needed(pool, selected)) {
     const auto cands = residents();
     if (cands.empty()) break;
     const SessionId victim = pick_victim(table, cands);
     evict_refunded(victim);
-    std::erase(decoding, victim);
     std::erase(selected, victim);
   }
 
@@ -281,7 +262,7 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
     if (want <= 0) return false;
     const auto granted_now = [&] {
       const std::int64_t avail =
-          pool.allocatable_blocks() - decode_blocks_needed() -
+          pool.allocatable_blocks() - decode_blocks_needed(pool, selected) -
           reserved_chunks;
       // usable, not blocks: a shared partial tail is CoW'd by the first
       // append, so it does not save an allocation.
@@ -301,7 +282,6 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
       if (cands.empty()) break;
       const SessionId victim = pick_victim(table, cands);
       evict_refunded(victim);
-      std::erase(decoding, victim);
       std::erase(selected, victim);
       granted = granted_now();
     }
@@ -359,8 +339,8 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
     const auto chunk_avail = [&] {
       // Adopting the match turns its tree-only pages non-reclaimable, so
       // subtract the whole match from the headroom estimate (conservative).
-      return pool.allocatable_blocks() - m.pages() - decode_blocks_needed() -
-             reserved_chunks;
+      return pool.allocatable_blocks() - m.pages() -
+             decode_blocks_needed(pool, selected) - reserved_chunks;
     };
     const std::int64_t first_need =
         pool.blocks_for(std::min(m.tokens + budget, s.total_len())) -
@@ -377,7 +357,6 @@ StepPlan Scheduler::plan_chunked(SessionTable& table, KvPool& pool,
       if (cands.empty()) break;
       const SessionId victim = pick_victim(table, cands);
       evict_refunded(victim);
-      std::erase(decoding, victim);
       std::erase(selected, victim);
     }
     if (first_need > chunk_avail()) break;

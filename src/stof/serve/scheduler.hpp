@@ -71,15 +71,10 @@ struct SchedulerConfig {
   /// Requests with template_len == 0 are unaffected either way, so the
   /// default changes nothing for legacy traces.
   bool prefix_sharing = true;
-  /// KV slots each selected decoder appends per step (1 = plain decoding;
-  /// the speculative engine reserves draft_tokens + 1 so a verify round's
-  /// appends can never fail mid-batch).
-  std::int64_t decode_appends = 1;
 
   void validate(std::int64_t max_seq_len) const {
     STOF_EXPECTS(max_prefills_per_step >= 1 && max_decode_batch >= 1);
     STOF_EXPECTS(chunk_tokens >= 0 && fairness_quantum_tokens >= 0);
-    STOF_EXPECTS(decode_appends >= 1, "decoders append at least one slot");
     if (chunk_tokens == 0) {
       STOF_EXPECTS(prefill_token_budget >= max_seq_len,
                    "prefill budget must admit the longest context");
@@ -116,7 +111,14 @@ struct StepPlan {
 
 class Scheduler {
  public:
-  explicit Scheduler(const SchedulerConfig& config) : config_(config) {}
+  /// `decode_appends` is the KV slots each selected decoder appends per
+  /// step: 1 for plain decoding, draft_tokens + 1 for a speculative
+  /// engine, so a verify round's appends can never fail mid-batch.
+  explicit Scheduler(const SchedulerConfig& config,
+                     std::int64_t decode_appends = 1)
+      : config_(config), decode_appends_(decode_appends) {
+    STOF_EXPECTS(decode_appends_ >= 1, "decoders append at least one slot");
+  }
 
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
@@ -136,13 +138,23 @@ class Scheduler {
   /// Compute this step's plan.  Mutates the wait queue (admissions pop,
   /// evictions push front) and sets evicted sessions back to kQueued with
   /// their KV released; the engine applies the rest of the plan.
-  StepPlan plan_step(SessionTable& table, KvPool& pool, std::int64_t step);
+  StepPlan plan_step(SessionTable& table, KvPool& pool);
 
  private:
-  StepPlan plan_continuous(SessionTable& table, KvPool& pool,
-                           std::int64_t step);
-  StepPlan plan_chunked(SessionTable& table, KvPool& pool, std::int64_t step);
+  StepPlan plan_continuous(SessionTable& table, KvPool& pool);
+  StepPlan plan_chunked(SessionTable& table, KvPool& pool);
   StepPlan plan_serial(SessionTable& table, KvPool& pool);
+
+  /// Every kDecoding session, least-recently-decoded first, so a binding
+  /// decode-batch cap round-robins instead of starving high ids.
+  [[nodiscard]] static std::vector<SessionId> decoders_lru(
+      const SessionTable& table);
+  /// This step's decode set: the first max_decode_batch of `decoders`.
+  [[nodiscard]] std::vector<SessionId> decode_batch(
+      std::vector<SessionId> decoders) const;
+  /// Allocations the `selected` decoders' appends will make this step.
+  [[nodiscard]] std::int64_t decode_blocks_needed(
+      const KvPool& pool, const std::vector<SessionId>& selected) const;
 
   /// Pick the preemption victim among `candidates`: lowest priority first,
   /// then smallest last_touch_step (idlest), ties broken toward the
@@ -182,6 +194,7 @@ class Scheduler {
   }
 
   SchedulerConfig config_;
+  std::int64_t decode_appends_ = 1;
   std::deque<SessionId> waiting_;
   /// Sessions mid-chunked-prefill, in admission order; pruned each plan to
   /// those still kPrefilling.

@@ -40,9 +40,9 @@ struct Fixture {
 };
 
 /// Runs the decode chain against the full blockwise pass and asserts every
-/// output row is byte-identical.  With `registry` set, the chain reads the
-/// KV pool's float-panel sidecar (incremental conversion through that
-/// registry) — the outputs must not change by a single bit.
+/// output row is byte-identical.  Every step reads the KV pool's FP32
+/// sidecar, converted incrementally through `registry` (the process-wide
+/// registry when null) — the outputs must not change by a single bit.
 void expect_chain_matches_full_pass(const Fixture& f,
                                     core::PanelCacheRegistry* registry =
                                         nullptr) {
@@ -76,13 +76,9 @@ void expect_chain_matches_full_pass(const Fixture& f,
     for (std::int64_t j = 0; j <= pos; ++j) {
       if (f.mask.at(pos, j)) cols.push_back(static_cast<std::int32_t>(j));
     }
-    PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
-                 cols};
-    if (registry != nullptr) {
-      pool.ensure_float_panels(0);
-      seq.kf_blocks = pool.k_float_blocks(0);
-      seq.vf_blocks = pool.v_float_blocks(0);
-    }
+    pool.ensure_sidecar(0);
+    const PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0),
+                       pool.v_blocks(0), cols, pool.sidecar(0)};
     const TensorH step =
         decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
 
@@ -155,10 +151,9 @@ TEST(DecodeSession, PreemptAndRecomputeWithSidecarIsByteIdentical) {
     for (std::int64_t j = 0; j < ctx; ++j) {
       if (f.mask.at(ctx - 1, j)) cols.push_back(static_cast<std::int32_t>(j));
     }
-    pool.ensure_float_panels(0);
-    PagedSeq seq{ctx, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0), cols};
-    seq.kf_blocks = pool.k_float_blocks(0);
-    seq.vf_blocks = pool.v_float_blocks(0);
+    pool.ensure_sidecar(0);
+    const PagedSeq seq{ctx, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0),
+                       cols, pool.sidecar(0)};
     return decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q_step);
   };
 
@@ -198,27 +193,28 @@ TEST(DecodeSession, ReusedPagesNeverServeStalePanels) {
   };
 
   ingest(0, a);
-  pool.ensure_float_panels(0);
-  const float a_first = pool.k_float_blocks(0)[0][0];
+  pool.ensure_sidecar(0);
+  const float a_first = pool.sidecar(0).pages[0].k.f32[0];
   pool.release(0);
 
   ingest(1, b);  // reuses the same physical blocks (free list recycles)
-  pool.ensure_float_panels(1);
-  const auto kf = pool.k_float_blocks(1);
-  const auto vf = pool.v_float_blocks(1);
-  ASSERT_EQ(kf.size(), 2u);
+  pool.ensure_sidecar(1);
+  const auto pages = pool.sidecar(1).pages;
+  ASSERT_EQ(pages.size(), 2u);
   // Every sidecar element equals the exact conversion of B's half data.
   const auto kh = pool.k_blocks(1);
   const auto vh = pool.v_blocks(1);
   const std::int64_t elems = kBlockTokens * kHeads * kHeadSize;
-  for (std::size_t p = 0; p < kf.size(); ++p) {
+  for (std::size_t p = 0; p < pages.size(); ++p) {
     for (std::int64_t i = 0; i < elems; ++i) {
-      ASSERT_EQ(kf[p][i], float(kh[p][i])) << "K page " << p << " elem " << i;
-      ASSERT_EQ(vf[p][i], float(vh[p][i])) << "V page " << p << " elem " << i;
+      ASSERT_EQ(pages[p].k.f32[i], float(kh[p][i]))
+          << "K page " << p << " elem " << i;
+      ASSERT_EQ(pages[p].v.f32[i], float(vh[p][i]))
+          << "V page " << p << " elem " << i;
     }
   }
   // A's and B's first keys differ, so a stale panel would be visible here.
-  ASSERT_EQ(kf[0][0], float(b.k.at(0, 0, 0)));
+  ASSERT_EQ(pages[0].k.f32[0], float(b.k.at(0, 0, 0)));
   ASSERT_NE(float(a.k.at(0, 0, 0)), float(b.k.at(0, 0, 0)));
   (void)a_first;
 }
@@ -246,6 +242,8 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
   };
   ingest(0, a, ctx_a);
   ingest(1, b, ctx_b);
+  pool.ensure_sidecar(0);
+  pool.ensure_sidecar(1);
 
   const auto cols_of = [](const Fixture& f, std::int64_t row) {
     std::vector<std::int32_t> cols;
@@ -256,9 +254,10 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
   };
   const auto cols_a = cols_of(a, ctx_a - 1);
   const auto cols_b = cols_of(b, ctx_b - 1);
-  const PagedSeq seqs[2] = {
-      {ctx_a, kBlockTokens, pool.k_blocks(0), pool.v_blocks(0), cols_a},
-      {ctx_b, kBlockTokens, pool.k_blocks(1), pool.v_blocks(1), cols_b}};
+  const PagedSeq seqs[2] = {{ctx_a, kBlockTokens, pool.k_blocks(0),
+                             pool.v_blocks(0), cols_a, pool.sidecar(0)},
+                            {ctx_b, kBlockTokens, pool.k_blocks(1),
+                             pool.v_blocks(1), cols_b, pool.sidecar(1)}};
 
   TensorH q_batch(Shape{2 * kHeads, 1, kHeadSize});
   for (std::int64_t h = 0; h < kHeads; ++h) {
@@ -292,7 +291,7 @@ TEST(DecodeSession, BatchedPagedDecodeMatchesPerSequenceCalls) {
 
 TEST(DecodeSession, PagedSeqValidation) {
   const half* none[1] = {nullptr};
-  PagedSeq s{16, 16, {none, 1}, {none, 1}, {}};
+  PagedSeq s{16, 16, {none, 1}, {none, 1}, {}, {}};
   s.validate(2, 32);
   PagedSeq bad_block = s;
   bad_block.block_tokens = 12;  // not a power of two
@@ -304,6 +303,22 @@ TEST(DecodeSession, PagedSeqValidation) {
   PagedSeq short_blocks = s;
   short_blocks.context_len = 17;  // needs two blocks, has one
   EXPECT_THROW(short_blocks.validate(2, 32), Error);
+
+  // A sidecar is validated once, against its own precision.
+  const float panel[1] = {0.0f};
+  const SidecarPage fp32_page{{.f32 = panel}, {.f32 = panel}};
+  PagedSeq with_sidecar = s;
+  with_sidecar.sidecar = {core::PanelPrecision::kFloat32, {&fp32_page, 1}};
+  with_sidecar.validate(2, 32);
+  PagedSeq wrong_tier = with_sidecar;
+  wrong_tier.sidecar.precision = core::PanelPrecision::kInt8;
+  EXPECT_THROW(wrong_tier.validate(2, 32), Error);
+  PagedSeq short_sidecar = with_sidecar;
+  short_sidecar.context_len = 17;
+  const half* two[2] = {nullptr, nullptr};
+  short_sidecar.k_blocks = two;
+  short_sidecar.v_blocks = two;
+  EXPECT_THROW(short_sidecar.validate(2, 32), Error);
 }
 
 TEST(DecodeSession, BatchedCostScalesWithContextAndBatch) {

@@ -192,52 +192,50 @@ TEST(PanelCacheRegistryInt8, ResidentBytesCoverCodesAndScales) {
 
 // ---- KvPanelCache int8 mode -------------------------------------------------
 
-TEST(KvPanelCacheInt8, QuantizesPerInstancePanelsBothModes) {
+TEST(KvPanelCacheInt8, QuantizesPerInstancePanels) {
   Rng rng(9);
   const std::int64_t kv = 2, seq = 8, d = 4;
   TensorH k(Shape{kv, seq, d}), v(Shape{kv, seq, d});
   k.fill_random(rng);
   v.fill_random(rng);
 
-  for (PanelCacheRegistry* registry :
-       {static_cast<PanelCacheRegistry*>(nullptr), &global_panel_cache()}) {
-    const mha::KvPanelCache cache(k, v, kv, seq, d, /*transpose_k=*/true,
-                                  registry, PanelPrecision::kInt8);
-    EXPECT_EQ(cache.precision(), PanelPrecision::kInt8);
-    for (std::int64_t i = 0; i < kv; ++i) {
-      const float ks = cache.k_scale(i), vs = cache.v_scale(i);
-      ASSERT_GT(ks, 0.0f);
-      ASSERT_GT(vs, 0.0f);
-      // V panels are row-major: dequantized codes track the half source
-      // within one quantization step.
-      const std::int8_t* vq = cache.v_panel_i8(i);
-      for (std::int64_t e = 0; e < seq * d; ++e) {
-        const float want = float(v.data()[i * seq * d + e]);
-        EXPECT_NEAR(vs * float(vq[e]), want, vs * 0.502f + 1e-38f);
-      }
-      // Transposed K: element (s, c) lives at kt[c * seq + s].
-      const std::int8_t* kq = cache.kt_panel_i8(i);
-      for (std::int64_t s = 0; s < seq; ++s) {
-        for (std::int64_t c = 0; c < d; ++c) {
-          const float want = float(k.data()[(i * seq + s) * d + c]);
-          EXPECT_NEAR(ks * float(kq[c * seq + s]), want,
-                      ks * 0.502f + 1e-38f);
-        }
+  PanelCacheRegistry registry;
+  const mha::KvPanelCache cache(k, v, kv, seq, d, /*transpose_k=*/true,
+                                registry, PanelPrecision::kInt8);
+  EXPECT_EQ(cache.precision(), PanelPrecision::kInt8);
+  for (std::int64_t i = 0; i < kv; ++i) {
+    const float ks = cache.k_scale(i), vs = cache.v_scale(i);
+    ASSERT_GT(ks, 0.0f);
+    ASSERT_GT(vs, 0.0f);
+    // V panels are row-major: dequantized codes track the half source
+    // within one quantization step.
+    const std::int8_t* vq = cache.v_panel_i8(i);
+    for (std::int64_t e = 0; e < seq * d; ++e) {
+      const float want = float(v.data()[i * seq * d + e]);
+      EXPECT_NEAR(vs * float(vq[e]), want, vs * 0.502f + 1e-38f);
+    }
+    // Transposed K: element (s, c) lives at kt[c * seq + s].
+    const std::int8_t* kq = cache.kt_panel_i8(i);
+    for (std::int64_t s = 0; s < seq; ++s) {
+      for (std::int64_t c = 0; c < d; ++c) {
+        const float want = float(k.data()[(i * seq + s) * d + c]);
+        EXPECT_NEAR(ks * float(kq[c * seq + s]), want,
+                    ks * 0.502f + 1e-38f);
       }
     }
   }
 }
 
-TEST(KvPanelCacheInt8, RegistryModeQuantizesOnce) {
+TEST(KvPanelCacheInt8, RepeatCacheQuantizesOnce) {
   Rng rng(10);
   const std::int64_t kv = 1, seq = 16, d = 8;
   TensorH k(Shape{kv, seq, d}), v(Shape{kv, seq, d});
   k.fill_random(rng);
   v.fill_random(rng);
   PanelCacheRegistry reg;
-  const mha::KvPanelCache a(k, v, kv, seq, d, false, &reg,
+  const mha::KvPanelCache a(k, v, kv, seq, d, false, reg,
                             PanelPrecision::kInt8);
-  const mha::KvPanelCache b(k, v, kv, seq, d, false, &reg,
+  const mha::KvPanelCache b(k, v, kv, seq, d, false, reg,
                             PanelPrecision::kInt8);
   // Second cache is a pure hit on the same buffers: identical code bytes.
   EXPECT_EQ(a.v_panel_i8(0), b.v_panel_i8(0));
@@ -253,6 +251,7 @@ TEST(KvPoolInt8, ExtensionOverFillingPageIsExact) {
   cfg.block_tokens = 4;
   cfg.heads = 2;
   cfg.head_size = 4;
+  cfg.sidecar_precision = PanelPrecision::kInt8;
   serve::KvPool pool(cfg, &reg);
   const serve::SessionId id = 1;
   const std::int64_t row = cfg.heads * cfg.head_size;
@@ -267,19 +266,20 @@ TEST(KvPoolInt8, ExtensionOverFillingPageIsExact) {
       slot->k[e] = half(rng.uniform(-1.0f, 1.0f));
       slot->v[e] = half(rng.uniform(-1.0f, 1.0f));
     }
-    pool.ensure_int8_panels(id);
-    const auto kb = pool.k_int8_blocks(id);
-    const auto ks = pool.k_int8_scales(id);
-    ASSERT_EQ(kb.size(), static_cast<std::size_t>(pool.blocks(id)));
+    pool.ensure_sidecar(id);
+    const mha::KvSidecar sidecar = pool.sidecar(id);
+    ASSERT_EQ(sidecar.precision, PanelPrecision::kInt8);
+    ASSERT_EQ(sidecar.pages.size(), static_cast<std::size_t>(pool.blocks(id)));
+    const mha::SidecarPanel& k0 = sidecar.pages[0].k;
     if (t == 0) {
-      first_row_codes.assign(kb[0], kb[0] + row);
-      first_row_scale.assign(ks[0], ks[0] + 1);
+      first_row_codes.assign(k0.i8, k0.i8 + row);
+      first_row_scale.assign(k0.scales, k0.scales + 1);
     } else {
       // Quantize-once with per-token-row scales: the first row's codes and
       // scale never change as later rows fill the page (or new pages open).
-      EXPECT_EQ(0, std::memcmp(first_row_codes.data(), kb[0],
+      EXPECT_EQ(0, std::memcmp(first_row_codes.data(), k0.i8,
                                first_row_codes.size()));
-      EXPECT_EQ(first_row_scale[0], ks[0][0]);
+      EXPECT_EQ(first_row_scale[0], k0.scales[0]);
     }
   }
 
@@ -297,9 +297,9 @@ TEST(KvPoolInt8, ExtensionOverFillingPageIsExact) {
     slot->k[e] = half(0.5f);
     slot->v[e] = half(0.5f);
   }
-  pool.ensure_int8_panels(other);
-  const auto kb = pool.k_int8_blocks(other);
-  EXPECT_EQ(kb[0][0], 127);  // constant row quantizes to the full code
+  pool.ensure_sidecar(other);
+  // A constant row quantizes to the full code.
+  EXPECT_EQ(pool.sidecar(other).pages[0].k.i8[0], 127);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tests for the single-token decode attention extension.
+// Tests for the single-token paged decode attention extension.
 #include <gtest/gtest.h>
 
+#include "paged_kv_fixture.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/mha/reference.hpp"
@@ -8,19 +9,31 @@
 namespace stof::mha {
 namespace {
 
+constexpr std::int64_t kBlockTokens = 16;
+
+/// A decode query per (sequence, head) instance and the cached K/V it
+/// attends, contiguous (seqs*heads, ctx, d).
 struct Cache {
   TensorH q, k, v;
 };
 
-Cache make_cache(const DecodeDims& dims, std::uint64_t seed) {
+Cache make_cache(std::int64_t seqs, std::int64_t heads, std::int64_t ctx,
+                 std::int64_t d, std::uint64_t seed) {
   Rng rng(seed);
-  Cache c{TensorH(Shape{dims.instances(), 1, dims.head_size}),
-          TensorH(Shape{dims.instances(), dims.context_len, dims.head_size}),
-          TensorH(Shape{dims.instances(), dims.context_len, dims.head_size})};
+  Cache c{TensorH(Shape{seqs * heads, 1, d}),
+          TensorH(Shape{seqs * heads, ctx, d}),
+          TensorH(Shape{seqs * heads, ctx, d})};
   c.q.fill_random(rng);
   c.k.fill_random(rng);
   c.v.fill_random(rng);
   return c;
+}
+
+TensorH decode(const Cache& c, std::int64_t heads,
+               std::span<const std::int32_t> cols, bool with_sidecar = true) {
+  const testing::PagedKv kv(c.k, c.v, heads, kBlockTokens);
+  const auto seqs = kv.seqs(cols, with_sidecar);
+  return decode_attention_paged(heads, c.q.shape()[2], seqs, c.q);
 }
 
 TEST(DecodeColumns, ExtractsRowOfMask) {
@@ -35,10 +48,10 @@ TEST(DecodeColumns, ExtractsRowOfMask) {
 
 TEST(DecodeAttention, MatchesReferenceLastRow) {
   // Decoding the (n)th token over an n-token cache must equal the last row
-  // of full attention with the same mask.
+  // of full attention with the same mask.  The 24-token context spans a
+  // full and a partial KV page.
   const std::int64_t ctx = 24;
-  const DecodeDims ddims{2, 3, ctx, 16};
-  const Cache c = make_cache(ddims, 17);
+  const Cache c = make_cache(2, 3, ctx, 16, 17);
 
   // Build full-attention inputs: the query sequence is the cache keys with
   // the new token's query as the last row.
@@ -57,7 +70,7 @@ TEST(DecodeAttention, MatchesReferenceLastRow) {
   const TensorH ref = reference_attention(full, q_full, c.k, c.v, mask);
 
   const auto cols = decode_columns(mask, ctx - 1, ctx);
-  const TensorH got = decode_attention(ddims, c.q, c.k, c.v, cols);
+  const TensorH got = decode(c, 3, cols);
   for (std::int64_t bh = 0; bh < full.instances(); ++bh) {
     for (std::int64_t e = 0; e < 16; ++e) {
       EXPECT_NEAR(float(got.at(bh, 0, e)), float(ref.at(bh, ctx - 1, e)),
@@ -68,16 +81,15 @@ TEST(DecodeAttention, MatchesReferenceLastRow) {
 }
 
 TEST(DecodeAttention, EmptyColumnsYieldZeros) {
-  const DecodeDims dims{1, 2, 8, 4};
-  const Cache c = make_cache(dims, 3);
-  const TensorH out = decode_attention(dims, c.q, c.k, c.v, {});
+  const Cache c = make_cache(1, 2, 8, 4, 3);
+  const TensorH out = decode(c, 2, {});
   for (const auto v : out.data()) EXPECT_EQ(float(v), 0.0f);
 }
 
 TEST(DecodeAttention, SingleColumnCopiesV) {
-  const DecodeDims dims{1, 2, 8, 4};
-  const Cache c = make_cache(dims, 4);
-  const TensorH out = decode_attention(dims, c.q, c.k, c.v, {5});
+  const Cache c = make_cache(1, 2, 8, 4, 4);
+  const std::int32_t only[] = {5};
+  const TensorH out = decode(c, 2, only);
   for (std::int64_t bh = 0; bh < 2; ++bh) {
     for (std::int64_t e = 0; e < 4; ++e) {
       EXPECT_NEAR(float(out.at(bh, 0, e)), float(c.v.at(bh, 5, e)), 4e-3);
@@ -86,29 +98,65 @@ TEST(DecodeAttention, SingleColumnCopiesV) {
 }
 
 TEST(DecodeAttention, RejectsBadShapesAndColumns) {
-  const DecodeDims dims{1, 2, 8, 4};
-  const Cache c = make_cache(dims, 5);
+  const Cache c = make_cache(1, 2, 8, 4, 5);
+  const testing::PagedKv kv(c.k, c.v, 2, kBlockTokens);
+  const std::int32_t first[] = {0};
   TensorH bad_q(Shape{2, 2, 4});
-  EXPECT_THROW(decode_attention(dims, bad_q, c.k, c.v, {0}), Error);
-  EXPECT_THROW(decode_attention(dims, c.q, c.k, c.v, {8}), Error);
-  EXPECT_THROW(decode_attention(dims, c.q, c.k, c.v, {-1}), Error);
+  EXPECT_THROW(decode_attention_paged(2, 4, kv.seqs(first), bad_q), Error);
+  const std::int32_t past_context[] = {8};
+  EXPECT_THROW(decode_attention_paged(2, 4, kv.seqs(past_context), c.q),
+               Error);
+  const std::int32_t negative[] = {-1};
+  EXPECT_THROW(decode_attention_paged(2, 4, kv.seqs(negative), c.q), Error);
+  EXPECT_THROW(decode_attention_paged(2, 4, {}, c.q), Error);
 }
 
-TEST(DecodeCost, ScalesWithAttendedColumns) {
-  const DecodeDims dims{4, 12, 2048, 64};
+TEST(DecodeAttention, PackedDecodeWithoutSidecarThrows) {
+  // The packed path reads only the KV sidecar; the scalar reference reads
+  // the half pages and needs none.
+  const Cache c = make_cache(1, 2, 20, 8, 6);
+  const std::int32_t cols[] = {1, 7, 19};
+  {
+    ScopedPackedExecution packed_mode(true);
+    EXPECT_THROW((void)decode(c, 2, cols, /*with_sidecar=*/false), Error);
+  }
+  ScopedPackedExecution scalar_mode(false);
+  const TensorH scalar = decode(c, 2, cols, /*with_sidecar=*/false);
+  EXPECT_EQ(scalar.shape(), c.q.shape());
+}
+
+TEST(DecodeAttention, SidecarMustCoverContext) {
+  const Cache c = make_cache(1, 2, 20, 8, 7);  // two KV pages
+  const testing::PagedKv kv(c.k, c.v, 2, kBlockTokens);
+  const std::int32_t cols[] = {0, 19};
+  auto seqs = kv.seqs(cols);
+  seqs[0].sidecar.pages = seqs[0].sidecar.pages.first(1);
+  EXPECT_THROW(decode_attention_paged(2, 8, seqs, c.q), Error);
+  // An INT8 view of FP32 pages lacks the codes its precision reads.
+  seqs = kv.seqs(cols);
+  seqs[0].sidecar.precision = core::PanelPrecision::kInt8;
+  EXPECT_THROW(decode_attention_paged(2, 8, seqs, c.q), Error);
+}
+
+TEST(DecodeBatchedCost, ScalesWithAttendedColumns) {
   const auto dev = gpusim::a100();
+  const std::int64_t sparse_cols[] = {64, 64, 64, 64};
+  const std::int64_t dense_cols[] = {2048, 2048, 2048, 2048};
   const double sparse = gpusim::estimate_time_us(
-      decode_cost(dims, 64, dev), dev);
+      decode_batched_cost(12, 64, sparse_cols, dev), dev);
   const double dense = gpusim::estimate_time_us(
-      decode_cost(dims, 2048, dev), dev);
+      decode_batched_cost(12, 64, dense_cols, dev), dev);
   EXPECT_GT(dense, sparse * 2.0);
-  EXPECT_THROW(decode_cost(dims, 4096, dev), Error);
+  const std::int64_t negative[] = {-1};
+  EXPECT_THROW(decode_batched_cost(12, 64, negative, dev), Error);
+  EXPECT_THROW(decode_batched_cost(12, 64, {}, dev), Error);
 }
 
-TEST(DecodeCost, LaunchBoundAtTinyBatch) {
-  const DecodeDims dims{1, 12, 128, 64};
+TEST(DecodeBatchedCost, LaunchBoundAtTinyBatch) {
   const auto dev = gpusim::rtx4090();
-  const double t = gpusim::estimate_time_us(decode_cost(dims, 16, dev), dev);
+  const std::int64_t cols[] = {16};
+  const double t =
+      gpusim::estimate_time_us(decode_batched_cost(12, 64, cols, dev), dev);
   EXPECT_LT(t, 2.0 * dev.launch_overhead_us);
 }
 

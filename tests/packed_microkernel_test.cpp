@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "paged_kv_fixture.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/masks/mask.hpp"
@@ -248,22 +249,24 @@ TEST(RowwisePanelCacheBitIdentity, PackedMatchesScalar) {
 }
 
 TEST(DecodeScratchBitIdentity, PackedMatchesScalar) {
-  const mha::DecodeDims dims{3, 4, 37, 16};  // odd context length
-  const TensorH q = random_tensor(Shape{dims.instances(), 1, dims.head_size},
-                                  51);
-  const TensorH kc = random_tensor(
-      Shape{dims.instances(), dims.context_len, dims.head_size}, 52);
-  const TensorH vc = random_tensor(
-      Shape{dims.instances(), dims.context_len, dims.head_size}, 53);
+  // Packed paged decode reading the FP32 sidecar vs the scalar reference
+  // reading the half pages: three sequences, an odd context length whose
+  // last page is partial, sparse columns spanning every page.
+  constexpr std::int64_t kSeqs = 3, kHeads = 4, kCtx = 37, kD = 16;
+  const TensorH q = random_tensor(Shape{kSeqs * kHeads, 1, kD}, 51);
+  const TensorH kc = random_tensor(Shape{kSeqs * kHeads, kCtx, kD}, 52);
+  const TensorH vc = random_tensor(Shape{kSeqs * kHeads, kCtx, kD}, 53);
   const std::vector<std::int32_t> cols = {0, 3, 5, 11, 20, 36};
+  const mha::testing::PagedKv kv(kc, vc, kHeads, /*block_tokens=*/16);
+  const auto seqs = kv.seqs(cols);
 
   TensorH scalar_out;
   {
     ScopedPackedExecution scalar_mode(false);
-    scalar_out = mha::decode_attention(dims, q, kc, vc, cols);
+    scalar_out = mha::decode_attention_paged(kHeads, kD, seqs, q);
   }
-  EXPECT_TRUE(tensors_bit_equal(scalar_out,
-                                mha::decode_attention(dims, q, kc, vc, cols)));
+  EXPECT_TRUE(tensors_bit_equal(
+      scalar_out, mha::decode_attention_paged(kHeads, kD, seqs, q)));
 }
 
 }  // namespace

@@ -185,14 +185,12 @@ TEST(PanelCacheRegistry, DecodeConversionWorkIsConstantPerStep) {
   // sidecar enabled.  After the first step, every step appends one token,
   // so the registry must convert exactly heads*head_size elements per side
   // per step — O(1) pages, independent of the context length — and the
-  // outputs must match a sidecar-less decode bit for bit.
+  // outputs must match the scalar reference decode bit for bit.
   constexpr std::int64_t kHeads = 2, kHeadSize = 16, kSteps = 40,
                          kBlockTokens = 8;
   PanelCacheRegistry reg;
   serve::KvPool pool(
       serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize}, &reg);
-  serve::KvPool plain_pool(
-      serve::KvPoolConfig{8, kBlockTokens, kHeads, kHeadSize});
   Rng rng(71);
   TensorH q(Shape{kHeads, 1, kHeadSize});
 
@@ -200,13 +198,10 @@ TEST(PanelCacheRegistry, DecodeConversionWorkIsConstantPerStep) {
   std::int64_t prev_bytes = 0;
   for (std::int64_t pos = 0; pos < kSteps; ++pos) {
     auto slot = pool.append_token(0);
-    auto plain_slot = plain_pool.append_token(0);
-    ASSERT_TRUE(slot.has_value() && plain_slot.has_value());
+    ASSERT_TRUE(slot.has_value());
     for (std::int64_t i = 0; i < per_side_elems; ++i) {
-      const half kv = half(rng.next_double() - 0.5);
-      const half vv = half(rng.next_double() - 0.5);
-      slot->k[i] = plain_slot->k[i] = kv;
-      slot->v[i] = plain_slot->v[i] = vv;
+      slot->k[i] = half(rng.next_double() - 0.5);
+      slot->v[i] = half(rng.next_double() - 0.5);
     }
     q.fill_random(rng);
 
@@ -214,19 +209,18 @@ TEST(PanelCacheRegistry, DecodeConversionWorkIsConstantPerStep) {
     for (std::int64_t j = 0; j <= pos; ++j) {
       cols.push_back(static_cast<std::int32_t>(j));
     }
-    pool.ensure_float_panels(0);
-    mha::PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0),
-                      pool.v_blocks(0), cols};
-    seq.kf_blocks = pool.k_float_blocks(0);
-    seq.vf_blocks = pool.v_float_blocks(0);
-    const mha::PagedSeq plain{pos + 1, kBlockTokens, plain_pool.k_blocks(0),
-                              plain_pool.v_blocks(0), cols};
+    pool.ensure_sidecar(0);
+    const mha::PagedSeq seq{pos + 1, kBlockTokens, pool.k_blocks(0),
+                            pool.v_blocks(0), cols, pool.sidecar(0)};
 
     const TensorH with = mha::decode_attention_paged(kHeads, kHeadSize,
                                                      {&seq, 1}, q);
-    const TensorH without = mha::decode_attention_paged(kHeads, kHeadSize,
-                                                        {&plain, 1}, q);
-    ASSERT_EQ(std::memcmp(with.data().data(), without.data().data(),
+    TensorH scalar;
+    {
+      ScopedPackedExecution scalar_mode(false);
+      scalar = mha::decode_attention_paged(kHeads, kHeadSize, {&seq, 1}, q);
+    }
+    ASSERT_EQ(std::memcmp(with.data().data(), scalar.data().data(),
                           with.size_bytes()),
               0)
         << "sidecar diverged at step " << pos;

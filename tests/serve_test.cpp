@@ -459,7 +459,7 @@ struct PlannerHarness {
     sched.enqueue(r.id);
   }
 
-  [[nodiscard]] StepPlan plan() { return sched.plan_step(table, pool, step); }
+  [[nodiscard]] StepPlan plan() { return sched.plan_step(table, pool); }
 
   // Apply a plan the way the engine does, checking the invariants its
   // ingest path relies on: chunks go only to mid-prefill sessions resuming
