@@ -11,7 +11,9 @@
 // (k = 0 and k = 4) and the model (attention only, GPT 2 layers).  Extra
 // cases cover BERT 2 layers, the INT8 KV tier, prefix sharing in both
 // prefill modes — whole mode admits fresh and prefix-adopted sessions in
-// one step — and a 2-device T5 cluster with speculation.  The layer head
+// one step — prefix sharing under the GPT layer head on an engine and on a
+// 2-device cluster, a 1-device GPT cluster, and a 2-device T5 cluster with
+// speculation.  The layer head
 // (ModelRuntime::transform_rows) is also pinned on its own, per family, at
 // 1 and 3 layers.
 //
@@ -29,6 +31,7 @@
 #include "stof/core/checksum.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/serve/engine.hpp"
+#include "stof/telemetry/telemetry.hpp"
 
 namespace stof::serve {
 namespace {
@@ -299,6 +302,48 @@ TEST(ServeLaunchPin, PrefixSharingWholeAndChunked) {
                 {0xe24adb8cfe363160ull, 0x73b63e9a272cca32ull});
 }
 
+Pin run_cluster(const cluster::ClusterConfig& ccfg,
+                const std::vector<Request>& trace) {
+  cluster::Cluster cl(ccfg);
+  replay(cl, trace);
+  std::uint64_t launches = kFnv1aOffset;
+  for (int dev = 0; dev < cl.devices(); ++dev) {
+    launches = launch_hash(cl.engine(dev).stream(), launches);
+  }
+  return {launches, digest_hash(cl.digests())};
+}
+
+TEST(ServeLaunchPin, PrefixSharingUnderLayerHead) {
+  telemetry::ScopedTelemetry scoped(true);
+  auto& reg = telemetry::global_registry();
+  EngineConfig cfg = base_config();
+  cfg.scheduler.chunk_tokens = 16;
+  cfg.model.kind = ModelKind::kGptDecoder;
+  const auto trace = templated_trace();
+  // Adopters seed their digest chains past position 0, so the case only
+  // pins seeding if some admission actually adopts.
+  reg.reset();
+  expect_pinned("prefix/chunk16/gpt2", run_engine(cfg, trace),
+                {0xa252d4e3a437e18cull, 0x5c876dfa76e6bcf9ull});
+  EXPECT_GT(reg.counter("serve.prefix.hits"), 0);
+  cluster::ClusterConfig ccfg;
+  ccfg.devices = 2;
+  ccfg.engine = cfg;
+  reg.reset();
+  expect_pinned("prefix/tp2/chunk16/gpt2", run_cluster(ccfg, trace),
+                {0x5d0da8cdf486735dull, 0x5c876dfa76e6bcf9ull});
+  EXPECT_GT(reg.counter("serve.prefix.hits"), 0);
+}
+
+TEST(ServeLaunchPin, OneDeviceClusterGpt) {
+  cluster::ClusterConfig ccfg;
+  ccfg.devices = 1;
+  ccfg.engine = base_config();
+  ccfg.engine.model.kind = ModelKind::kGptDecoder;
+  expect_pinned("tp1/whole/k0/gpt2", run_cluster(ccfg, private_trace()),
+                {0x4579d0591845cb2aull, 0x194293fb3b844e1cull});
+}
+
 TEST(ServeLaunchPin, T5ClusterTwoDevicesSpeculative) {
   cluster::ClusterConfig ccfg;
   ccfg.devices = 2;
@@ -306,13 +351,7 @@ TEST(ServeLaunchPin, T5ClusterTwoDevicesSpeculative) {
   ccfg.engine.kv_blocks = 24;
   ccfg.engine.spec_draft_tokens = 4;
   ccfg.engine.model.kind = ModelKind::kT5CrossDecoder;
-  cluster::Cluster cl(ccfg);
-  replay(cl, private_trace());
-  std::uint64_t launches = kFnv1aOffset;
-  for (int dev = 0; dev < cl.devices(); ++dev) {
-    launches = launch_hash(cl.engine(dev).stream(), launches);
-  }
-  expect_pinned("t5/tp2/k4", {launches, digest_hash(cl.digests())},
+  expect_pinned("t5/tp2/k4", run_cluster(ccfg, private_trace()),
                 {0x998a4ef81a53f505ull, 0x6254d5a6faaf1144ull});
 }
 
