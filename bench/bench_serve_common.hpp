@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "stof/cluster/cluster.hpp"
@@ -266,14 +267,6 @@ inline RunResult run_trace(
     const std::function<void(SessionId, std::int64_t, std::span<const half>)>&
         on_decode = {}) {
   Engine engine(cfg);
-  if (on_decode) {
-    // Prefill folds only prompt rows, so the rows at or past the prompt
-    // are exactly the decoded tokens' outputs.
-    engine.on_output_row = [&](SessionId id, std::int64_t pos,
-                               std::span<const half> row) {
-      if (pos >= engine.session(id).request.prompt_len) on_decode(id, pos, row);
-    };
-  }
   std::int64_t decode_steps = 0;
   std::map<SessionId, double> last_token_at;
   std::vector<double> decode_gaps;
@@ -299,7 +292,20 @@ inline RunResult run_trace(
       engine.advance_to(trace[next].arrival_us);
       continue;
     }
-    engine.step();
+    const std::optional<StepOutcome> outcome = engine.execute_step();
+    if (!outcome) continue;
+    if (on_decode) {
+      // Prefill emits only prompt rows, so the rows at or past the prompt
+      // are exactly the decoded tokens' outputs.
+      const auto width = static_cast<std::size_t>(cfg.heads * cfg.head_size);
+      for (std::size_t j = 0; j < outcome->rows.size(); ++j) {
+        const auto [id, pos] = outcome->rows[j];
+        if (pos >= engine.session(id).request.prompt_len) {
+          on_decode(id, pos, {outcome->row_data.data() + j * width, width});
+        }
+      }
+    }
+    engine.finalize_step(*outcome, outcome->us);
   }
 
   RunResult r;

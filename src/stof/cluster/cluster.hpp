@@ -20,10 +20,13 @@
 //   3. finalize_step() everywhere with the common duration
 //      max(shard kernel times) + collective time — so shard clocks, TTFT,
 //      and deadline accounting agree across the cluster;
-//   4. gather each shard's attention-output rows (the Engine's
-//      on_output_row hook) and fold them in fixed shard order into
+//   4. assemble each step's full-width attention-output rows from the
+//      shards' StepOutcome rows (concatenated in shard order) and fold
+//      them through one DigestFolder — layer head included — into
 //      per-session CLUSTER digests, which are byte-comparable to a
-//      single-device engine's digests on the same trace.
+//      single-device engine's digests on the same trace.  Shards never
+//      fold; every engine is a head shard, a 1-device cluster included,
+//      so the layer head runs once per row at every width.
 //
 // Collective traffic per step is modeled Megatron-style: one all-reduce per
 // row-parallel GEMM, counted from the model graph, over the step's
@@ -33,6 +36,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "stof/cluster/collectives.hpp"
@@ -84,8 +88,8 @@ class Cluster {
   }
 
   /// Per-session cluster digests: FNV-1a over full-width attention-output
-  /// rows in position order (shard rows concatenated head-major), the
-  /// same chain a single-device engine folds.
+  /// rows in position order (shard rows concatenated head-major, layer
+  /// head applied), the same chain a single-device engine folds.
   [[nodiscard]] const std::map<serve::SessionId, std::uint64_t>& digests()
       const {
     return digests_;
@@ -95,34 +99,15 @@ class Cluster {
   [[nodiscard]] double collective_us() const { return collective_us_; }
 
  private:
-  struct OutputRow {
-    serve::SessionId id = 0;
-    std::int64_t pos = 0;
-    std::vector<half> bytes;  ///< this shard's heads × head_size halfs
-  };
-
-  /// Pure content key of "the first `tokens` positions of this request's
-  /// template" (page-key chain + mask kind): indexes the cluster-digest
-  /// chain values that seed prefix-adopting sessions.
-  [[nodiscard]] std::uint64_t prefix_chain_key(const serve::Request& r,
-                                               std::int64_t tokens) const;
-
-  /// Fold the step's gathered shard rows into the cluster digests.
-  void drain_output_rows();
+  /// Fold the step's shard rows, assembled at full width, into digests_.
+  void fold_rows(
+      const std::vector<std::optional<serve::StepOutcome>>& outcomes);
 
   ClusterConfig config_;
   std::vector<std::unique_ptr<serve::Engine>> engines_;
-  /// Full-width numeric model head (engine.model enabled only): shards
-  /// fold raw local rows, so the cluster applies the layer head to the
-  /// assembled full-width row before folding — reproducing an unsharded
-  /// engine's transformed digest bit for bit at every device count.
-  std::unique_ptr<serve::ModelRuntime> model_head_;
-  std::vector<std::vector<OutputRow>> pending_rows_;  ///< per device
+  /// Full-width layer head and template chain values; shards never fold.
+  serve::DigestFolder folder_;
   std::map<serve::SessionId, std::uint64_t> digests_;
-  /// Digest chain value after folding the first `key`'s tokens of a shared
-  /// template — pure functions of template content, so entries are never
-  /// invalidated.
-  std::map<std::uint64_t, std::uint64_t> prefix_chain_;
   double collective_us_ = 0;
 };
 

@@ -66,13 +66,18 @@ Engine::Engine(const EngineConfig& config)
       scheduler_(config.scheduler, config.spec_draft_tokens + 1),
       stream_(config.device) {
   config_.validate();
+  // The folder's layer head draws its weights before tuning starts: model
+  // load measured slower the other way round.
+  if (config_.total_heads == 0) {
+    folder_.emplace(config_.model, config_.heads, config_.head_size,
+                    config_.block_tokens, config_.device);
+  }
   if (config_.model.enabled()) {
-    // A tensor-parallel shard charges the shard-width slice of every layer
-    // GEMM but never folds transformed rows (the cluster owns the
-    // full-width model head), so it skips the numeric weights.
+    // Costs only: the numeric layer head belongs to whoever folds the rows
+    // (this engine's DigestFolder, or the cluster's for a shard).
     model_ = std::make_unique<ModelRuntime>(
         config_.model, config_.heads, config_.head_size, config_.device,
-        /*with_weights=*/config_.total_heads == 0);
+        /*with_weights=*/false);
     // "Model load": tune (or warm-load from the tuning DB) the canonical
     // decode and prefill shape buckets up front; any other bucket a step
     // hits tunes lazily on first use.
@@ -147,46 +152,14 @@ void Engine::fill_token_local(std::uint64_t seed, std::int64_t pos,
               dst.size() * sizeof(half));
 }
 
-void Engine::fold_output_row(Session& s, std::int64_t pos,
-                             std::span<const half> digest_row,
-                             std::span<const half> raw_row) {
-  s.digest = fnv1a64(digest_row.data(), digest_row.size_bytes(), s.digest);
-  if (on_output_row) on_output_row(s.request.id, pos, raw_row);
-}
-
-TensorH Engine::transform_for_digest(std::span<const half> rows,
-                                     std::int64_t count) {
-  if (!model_digest_active() || count == 0) return {};
-  TensorH t(Shape{count, config_.heads * config_.head_size});
-  std::memcpy(t.data().data(), rows.data(), t.data().size_bytes());
-  model_->transform_rows(t);
-  return t;
-}
-
-void Engine::capture_template_digest(Session& s, std::int64_t pos) {
-  const std::int64_t tl = s.request.template_len;
-  if (tl <= 0 || pos >= tl) return;
-  const std::int64_t bt = config_.block_tokens;
-  // Chain values are recorded where a page completes (or the template
-  // ends): exactly the points publish_prefix() stores alongside pages, so
-  // an adopter can start its digest mid-stream.
-  if ((pos + 1) % bt != 0 && pos + 1 != tl) return;
-  const auto pages = static_cast<std::size_t>((tl + bt - 1) / bt);
-  if (s.template_page_digest.size() != pages) {
-    s.template_page_digest.assign(pages, 0);
-    s.template_page_digest_ok.assign(pages, 0);
-  }
-  const auto q = static_cast<std::size_t>(pos / bt);
-  s.template_page_digest[q] = s.digest;
-  s.template_page_digest_ok[q] = 1;
-}
-
-void Engine::maybe_publish_prefix(Session& s) {
-  if (!scheduler_.config().prefix_sharing || s.request.template_len <= 0) {
-    return;
-  }
-  pool_.publish_prefix(s.request.id, s.request, s.template_page_digest,
-                       s.template_page_digest_ok);
+std::span<half> Engine::emit_row(Session& s, std::int64_t pos,
+                                 StepOutcome& outcome) {
+  if (s.first_folded < 0) s.first_folded = pos;
+  outcome.rows.push_back(RowKey{s.request.id, pos});
+  const auto width = static_cast<std::size_t>(config_.heads *
+                                              config_.head_size);
+  outcome.row_data.resize(outcome.row_data.size() + width);
+  return {outcome.row_data.data() + outcome.row_data.size() - width, width};
 }
 
 double Engine::run_prefill(const std::vector<PrefillChunk>& windows,
@@ -296,53 +269,28 @@ double Engine::run_prefill(const std::vector<PrefillChunk>& windows,
         }
       }
       s.cached_tokens = chunk.end;
-      // Fold the window's prompt rows exactly once, in position order.  A
+      // Emit the window's prompt rows exactly once, in position order.  A
       // re-prefilled window (preempt mid-prefill, or a preempted decoder
       // rebuilding context past its prompt) recomputes rows already
-      // folded; they are skipped, never re-folded.  The undigested rows
-      // gather into one contiguous batch so the model head (when active)
-      // transforms them in a single pass; per-row purity of the head keeps
-      // chunked digests byte-identical to whole prefills, and the raw
-      // attention rows still feed the shard hook.
-      const std::int64_t hd = heads * d;
+      // emitted; they are skipped, never emitted again.
       const std::int64_t fold_end =
           std::min(chunk.end, s.request.prompt_len);
-      const std::int64_t fold_begin =
-          std::max(chunk.begin, s.prompt_digested_tokens);
-      const std::int64_t fold_n = fold_end - fold_begin;
-      if (fold_n > 0) {
-        std::vector<half> raw(static_cast<std::size_t>(fold_n * hd));
-        for (std::int64_t j = 0; j < fold_n; ++j) {
-          const std::int64_t pos = fold_begin + j;
-          for (std::int64_t h = 0; h < heads; ++h) {
-            std::memcpy(&raw[static_cast<std::size_t>(j * hd + h * d)],
-                        out.data()
-                            .subspan(static_cast<std::size_t>(
-                                         ((b * heads + h) * seq + pos) * d),
-                                     static_cast<std::size_t>(d))
-                            .data(),
-                        static_cast<std::size_t>(d) * sizeof(half));
-          }
-        }
-        const TensorH folded = transform_for_digest(raw, fold_n);
-        for (std::int64_t j = 0; j < fold_n; ++j) {
-          const std::int64_t pos = fold_begin + j;
-          const std::span<const half> raw_row{
-              raw.data() + j * hd, static_cast<std::size_t>(hd)};
-          const std::span<const half> dig_row =
-              folded.data().empty()
-                  ? raw_row
-                  : folded.data().subspan(static_cast<std::size_t>(j * hd),
-                                          static_cast<std::size_t>(hd));
-          fold_output_row(s, pos, dig_row, raw_row);
-          capture_template_digest(s, pos);
+      for (std::int64_t pos = std::max(chunk.begin, s.prompt_digested_tokens);
+           pos < fold_end; ++pos) {
+        const std::span<half> row = emit_row(s, pos, outcome);
+        for (std::int64_t h = 0; h < heads; ++h) {
+          std::memcpy(row.data() + h * d,
+                      out.data().data() + ((b * heads + h) * seq + pos) * d,
+                      static_cast<std::size_t>(d) * sizeof(half));
         }
       }
       s.prompt_digested_tokens = std::max(s.prompt_digested_tokens, fold_end);
       if (s.cached_tokens == s.total_len()) {
         STOF_CHECK(s.prompt_digested_tokens == s.request.prompt_len,
                    "prefix completion must have digested the whole prompt");
-        maybe_publish_prefix(s);
+        if (scheduler_.config().prefix_sharing) {
+          pool_.publish_prefix(chunk.id, s.request, s.first_folded);
+        }
         s.phase = SessionPhase::kDecoding;
       }
       s.last_touch_step = step_count_;
@@ -457,40 +405,19 @@ double Engine::run_decode(const std::vector<SessionId>& ids,
       "serve.decode",
       mha::decode_verify_cost(heads, d, valid, seq_rows, config_.device));
 
-  // Gather every committed row, in commit order, into one model-head batch
-  // (rejected rows roll back and never fold).  Committed rows are
-  // bit-identical to plain decode rows, and the head is per-row pure, so
+  // Emit every committed row in commit order (rejected rows roll back and
+  // never fold).  Committed rows are bit-identical to plain decode rows, so
   // speculative digests stay byte-identical to non-speculative runs.
   const std::int64_t hd = heads * d;
-  TensorH folded;
-  if (model_digest_active()) {
-    std::vector<half> raw;
-    std::int64_t first = 0;
-    for (const auto& r : rounds) {
-      const half* rows = out.data().data() + first * hd;
-      raw.insert(raw.end(), rows, rows + (r.accept + 1) * hd);
-      first += r.rows;
-    }
-    folded = transform_for_digest(
-        raw, static_cast<std::int64_t>(raw.size()) / hd);
-  }
-
   std::int64_t committed = 0, drafted = 0, accepted = 0, rollbacks = 0;
   row = 0;
   for (const auto& r : rounds) {
     Session& s = table_.at(r.id);
     const std::int64_t commit = r.accept + 1;
     for (std::int64_t j = 0; j < commit; ++j) {
-      const auto out_row = out.data().subspan(
-          static_cast<std::size_t>((row + j) * hd),
-          static_cast<std::size_t>(hd));
-      const auto dig_row =
-          folded.data().empty()
-              ? out_row
-              : folded.data().subspan(
-                    static_cast<std::size_t>((committed + j) * hd),
-                    static_cast<std::size_t>(hd));
-      fold_output_row(s, r.pos + j, dig_row, out_row);
+      std::memcpy(emit_row(s, r.pos + j, outcome).data(),
+                  out.data().data() + (row + j) * hd,
+                  static_cast<std::size_t>(hd) * sizeof(half));
     }
     row += r.rows;
     if (commit < r.rows) pool_.truncate(r.id, r.pos + commit);
@@ -564,6 +491,12 @@ std::optional<StepOutcome> Engine::execute_step() {
 
   double us = run_prefill(windows, whole, outcome);
   us += run_decode(plan.decodes, outcome);
+  if (folder_) {
+    folder_->fold(outcome.rows, outcome.row_data, table_,
+                  [this](SessionId id) -> std::uint64_t& {
+                    return table_.at(id).digest;
+                  });
+  }
   // Model execution: the step's activation rows (prefill tokens + decode
   // rows, one packed batch in a real server) run the per-layer non-MHA
   // pipeline — charged tuned-fused or launch-per-op onto this stream.

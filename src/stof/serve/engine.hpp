@@ -21,10 +21,13 @@
 // (session seed, position, channel) — fill_token() below.  That makes
 // preemption recovery exact: a victim's KV pages are dropped and its full
 // context re-prefilled later from the token function, reproducing the
-// same bits.  Each position's attention output is folded into the
-// session's FNV-1a digest exactly once, in position order, so two runs
-// (e.g. serial vs continuous scheduling) produce equal digests iff every
-// per-session output byte matches.
+// same bits.  Each position's attention output leaves the step exactly
+// once, in position order, as a row of the StepOutcome; an unsharded
+// engine folds the step's rows through its DigestFolder into the
+// session's FNV-1a digest, so two runs (e.g. serial vs continuous
+// scheduling) produce equal digests iff every per-session output byte
+// matches.  A tensor-parallel shard never folds: the cluster folds the
+// full-width rows it assembles from every shard's outcome.
 #pragma once
 
 #include <functional>
@@ -37,6 +40,7 @@
 #include "stof/gpusim/device.hpp"
 #include "stof/gpusim/timeline.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
+#include "stof/serve/digest_fold.hpp"
 #include "stof/serve/model_runtime.hpp"
 #include "stof/serve/scheduler.hpp"
 
@@ -95,9 +99,9 @@ struct EngineConfig {
   /// LayerNorm, FFN GEMM + activation around the real attention kernels):
   /// the layer costs are charged per fused segment (or per detached op,
   /// model.fused == false) on the gpusim timeline, and session digests
-  /// fold the layer head's transform of each attention-output row instead
-  /// of the raw row.  kNone (default) preserves attention-only serving
-  /// bit for bit.
+  /// fold the layer head's transform of each attention-output row (see
+  /// DigestFolder) instead of the raw row.  kNone (default) preserves
+  /// attention-only serving bit for bit.
   ModelSpec model;
   SchedulerConfig scheduler;
   gpusim::DeviceSpec device = gpusim::a100();
@@ -158,6 +162,13 @@ struct StepOutcome {
   std::vector<SessionId> finished;     ///< completed this step
   std::int64_t prefill_tokens = 0;  ///< prompt positions ingested
   std::int64_t decode_rows = 0;     ///< decode query rows (incl. drafts)
+  /// The step's attention-output rows in fold order — prompt rows not
+  /// folded before (a recomputed row is never emitted twice), then
+  /// committed decode rows — and their bytes back to back, heads *
+  /// head_size halfs each (this engine's heads).  Prefill emits only prompt
+  /// rows, so rows with pos >= prompt_len are the decoded tokens' outputs.
+  std::vector<RowKey> rows;
+  std::vector<half> row_data;
 };
 
 struct EngineStats {
@@ -220,24 +231,12 @@ class Engine {
   /// and finalize_step().
   [[nodiscard]] gpusim::Stream& stream_mut() { return stream_; }
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
-  /// The model runtime (tuned plans, layer head); nullptr when the config
+  /// The model runtime (tuned plans, step costs); nullptr when the config
   /// has no model.
   [[nodiscard]] ModelRuntime* model_runtime() { return model_.get(); }
 
   /// Invoked after every executed step (not for empty plans).
   std::function<void(const StepEvent&)> on_step;
-
-  /// Invoked for EVERY attention-output row (prefill and decode alike) at
-  /// the exact point it is folded into the session digest, in fold order:
-  /// (session, position, heads * head_size halfs).  The cluster runtime
-  /// installs this on each shard to gather the per-shard head slices and
-  /// re-fold them in fixed shard order, reproducing the single-device
-  /// digest bit-for-bit.  Only locally folded rows fire: prefix-adopted
-  /// positions are never recomputed, so they fire on no shard.  Prefill
-  /// folds only prompt rows, so rows with pos >= prompt_len are exactly
-  /// the decoded tokens' outputs.
-  std::function<void(SessionId, std::int64_t, std::span<const half>)>
-      on_output_row;
 
  private:
   [[nodiscard]] const masks::Mask& mask_for(masks::PatternKind kind);
@@ -263,39 +262,19 @@ class Engine {
   /// the longest accepted prefix commits, the rest rolls back via
   /// KvPool::truncate.  k = 0 is plain decoding: one row per session.
   double run_decode(const std::vector<SessionId>& ids, StepOutcome& outcome);
-  /// Fold one attention-output row (position `pos`, local heads wide):
-  /// `digest_row` enters the session digest, `raw_row` (the untransformed
-  /// attention output) fires the on_output_row shard hook — the cluster
-  /// gathers raw shard slices and applies the model head at full width.
-  void fold_output_row(Session& s, std::int64_t pos,
-                       std::span<const half> digest_row,
-                       std::span<const half> raw_row);
-  /// True when session digests fold model-head-transformed rows: a model
-  /// is configured and this engine sees full-width rows (unsharded).  A
-  /// tensor-parallel shard folds raw local rows; the cluster owns the
-  /// full-width transform.
-  [[nodiscard]] bool model_digest_active() const {
-    return model_ != nullptr && config_.total_heads == 0;
-  }
-  /// Copy of `rows` (n x heads*head_size) with the layer head applied, for
-  /// digest folding; returns an empty tensor when model_digest_active()
-  /// is false (callers then fold the raw rows).
-  [[nodiscard]] TensorH transform_for_digest(std::span<const half> rows,
-                                             std::int64_t count);
-  /// Record the digest chain value after folding template position `pos`
-  /// (page boundaries and the template end) for later publish_prefix().
-  void capture_template_digest(Session& s, std::int64_t pos);
-  /// Insert the session's freshly prefilled template pages into the pool's
-  /// prefix tree (no-op when sharing is off or the prompt is untemplated).
-  void maybe_publish_prefix(Session& s);
+  /// Append row `pos` of session `s` to the step's output rows and return
+  /// its storage (heads * head_size halfs) for the caller to fill.
+  std::span<half> emit_row(Session& s, std::int64_t pos, StepOutcome& outcome);
 
   EngineConfig config_;
   SessionTable table_;
   KvPool pool_;
   Scheduler scheduler_;
   gpusim::Stream stream_;
-  /// Present iff config_.model.enabled(): tuned plans + layer head.
+  /// Present iff config_.model.enabled(): tuned plans and step costs.
   std::unique_ptr<ModelRuntime> model_;
+  /// Present iff unsharded (total_heads == 0): folds each step's rows.
+  std::optional<DigestFolder> folder_;
   double clock_us_ = 0;
   std::int64_t step_count_ = 0;
   EngineStats stats_;

@@ -91,7 +91,8 @@ std::int64_t Scheduler::adopt_cap(const Session& s) const {
   // A re-admitted session's digest already covers [0, prompt_digested):
   // adopting past that mark would skip folding positions the digest still
   // owes, so the cap is the digested count; a fresh session may adopt its
-  // whole template (the tree supplies the digest chain value instead).
+  // whole template (its digest chain then starts from the template's
+  // recorded value).
   return s.prompt_digested_tokens > 0 ? s.prompt_digested_tokens
                                       : s.request.template_len;
 }
@@ -111,9 +112,7 @@ void Scheduler::admit_with_prefix(Session& s, KvPool& pool) const {
   s.adopted_tokens = m.tokens;
   if (s.prompt_digested_tokens == 0) {
     // Fresh session: outputs for the adopted positions are the template's
-    // (byte-identical across owners), so start the digest from the chain
-    // value the publisher stored with the pages.
-    s.digest = m.digest_after;
+    // (byte-identical across owners) and never fold for this session.
     s.prompt_digested_tokens = m.tokens;
   }
 }

@@ -178,9 +178,9 @@ class Scheduler {
   /// off or the request is untemplated).
   [[nodiscard]] PrefixMatch admission_match(const KvPool& pool,
                                             const Session& s) const;
-  /// Adopt `s`'s prefix at admission time: map the shared pages, set
-  /// cached/adopted token counts, and (for fresh sessions) start the
-  /// output digest from the tree's chain value.
+  /// Adopt `s`'s prefix at admission time: map the shared pages and set
+  /// cached/adopted token counts (for fresh sessions also the digested
+  /// count: the adopted positions never fold for this session).
   void admit_with_prefix(Session& s, KvPool& pool) const;
 
   /// The wait queue in priority order: priority descending, then earliest

@@ -5,9 +5,11 @@
 // metadata the continuous-batching scheduler needs (last-touch step for
 // LRU-idle eviction, preemption count, latency timestamps).  The digest is
 // an FNV-1a chain over the half-precision output bytes of each position,
-// accumulated exactly once per position in position order — so it is
-// invariant to scheduling mode and to preemption/recompute, and two runs
-// agree iff their per-session outputs are byte-identical.
+// accumulated exactly once per position in position order by a
+// DigestFolder (digest_fold.hpp) — so it is invariant to scheduling mode
+// and to preemption/recompute, and two runs agree iff their per-session
+// outputs are byte-identical.  A tensor-parallel shard never folds: its
+// digest stays at the FNV offset, and the cluster keeps the digests.
 #pragma once
 
 #include <map>
@@ -36,13 +38,12 @@ struct Session {
   /// prefill starts here instead of 0.  Reset to 0 on eviction (the KV is
   /// released; the next admission re-matches the tree from scratch).
   std::int64_t adopted_tokens = 0;
-  /// Output-digest chain values captured after each template page's last
-  /// position, indexed by page (ceil(template_len / block_tokens) entries);
-  /// `_ok[q]` marks pages whose value was actually captured this lifetime.
-  /// publish_prefix() stores these in the tree so adopters can start their
-  /// digest mid-stream.  Kept across preemption — recompute re-captures.
-  std::vector<std::uint64_t> template_page_digest{};
-  std::vector<std::uint8_t> template_page_digest_ok{};
+  /// First position whose output row this session produced (-1 before
+  /// any).  Positions [0, first_folded) came from an adopted prefix: the
+  /// digest chain starts from the template's recorded value there, and
+  /// only pages ending past it may be published.  The rows a session
+  /// produces over all its lifetimes are exactly [first_folded, ...).
+  std::int64_t first_folded = -1;
 
   std::int64_t preemptions = 0;
   std::int64_t last_touch_step = -1;  ///< last step this session computed

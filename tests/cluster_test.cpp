@@ -9,6 +9,7 @@
 #include "stof/cluster/sharding.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/ops/gemm.hpp"
+#include "stof/telemetry/telemetry.hpp"
 
 namespace stof::cluster {
 namespace {
@@ -269,6 +270,43 @@ TEST(Cluster, ShardClocksAgreeAndCollectivesAppearOnEveryTimeline) {
     EXPECT_EQ(cluster.engine(d).stats().preemptions,
               cluster.stats().preemptions);
   }
+}
+
+TEST(Cluster, OneDeviceClusterRunsTheLayerHeadOncePerRow) {
+  // A 1-device cluster is a single head shard: the cluster's digest folder
+  // owns the only numeric layer head, so it multiplies exactly what a lone
+  // engine does on the same trace.
+  EngineConfig cfg;
+  cfg.heads = 4;
+  cfg.head_size = 16;
+  cfg.max_seq_len = 128;
+  cfg.kv_blocks = 64;
+  cfg.model.kind = serve::ModelKind::kGptDecoder;
+  std::vector<Request> trace;
+  for (std::int64_t i = 0; i < 4; ++i) {
+    Request r;
+    r.id = i;
+    r.prompt_len = 40 + 7 * i;
+    r.max_new_tokens = 6;
+    r.seed = 900 + static_cast<std::uint64_t>(i);
+    trace.push_back(r);
+  }
+  telemetry::ScopedTelemetry scoped(true);
+  auto& reg = telemetry::global_registry();
+  reg.reset();
+  Engine engine(cfg);
+  const auto ref = engine_digests(engine, trace);
+  const std::int64_t engine_macs = reg.counter("sim.ops.gemm_macs");
+  ASSERT_GT(engine_macs, 0);
+
+  ClusterConfig ccfg;
+  ccfg.devices = 1;
+  ccfg.engine = cfg;
+  reg.reset();
+  Cluster cluster(ccfg);
+  replay(cluster, trace);
+  EXPECT_EQ(reg.counter("sim.ops.gemm_macs"), engine_macs);
+  EXPECT_EQ(cluster.digests(), ref);
 }
 
 TEST(Cluster, SchedulerFuzzReplayWithPerDeviceConservation) {
