@@ -4,17 +4,18 @@
 // parallel_for task (softmax state, score tiles, converted panels).
 // Allocating them as std::vectors inside the task body puts several heap
 // round trips on the hot path of every task.  A ScratchArena is a bump
-// allocator over a small set of heap blocks: the first task on a worker
+// allocator over a small set of heap blocks: the first task of a chunk
 // grows the blocks, every later task re-bumps over the same memory
 // (reset() is two integer stores, no deallocation), so steady-state tasks
 // perform zero heap allocations.
 //
 // Spans returned by alloc() stay valid until the next reset(): growth
 // appends new blocks and never moves existing ones.  Arenas are not
-// thread-safe; parallel_for_scratch (parallel_for.hpp) gives each worker
-// chunk its own arena, which keeps the reuse accounting deterministic —
-// the chunk partition is a pure function of (range, pool size), unlike
-// the task-to-thread assignment.
+// thread-safe; parallel_for_scratch (parallel_for.hpp) gives each chunk
+// its own arena, which keeps the reuse accounting deterministic — the
+// chunk partition is a pure function of (range, pool size), unlike the
+// chunk-to-thread assignment (helpers and the calling thread claim chunks
+// in whatever order they get to them).
 //
 // Every span alloc() returns starts on a 64-byte (cache-line) boundary:
 // blocks are allocated with 64-byte-aligned operator new and the bump

@@ -1,25 +1,19 @@
 // A small fixed-size thread pool.
 //
-// The simulated GPU executes thread blocks of a kernel launch on this pool
-// (one task per block range), mirroring the way CUDA distributes blocks
-// over SMs.  The pool follows structured-parallelism discipline: work is
-// submitted as a batch and joined before the submitting call returns, so no
-// kernel ever leaks tasks past its launch scope.
+// The functional kernels run their block tasks on this pool through
+// parallel_for (parallel_for.hpp), standing in for the way a GPU hands
+// thread blocks to SMs.  The pool itself only queues and runs tasks; each
+// parallel_for call tracks and joins its own chunks.
 //
 // The serving runtime (stof::serve) keeps the global pool alive for the
-// whole process, which makes the shutdown and exception paths load-bearing:
-//   * a task that throws no longer terminates the process — the first
-//     exception is captured and rethrown from the next wait_idle() (the
-//     structured join point), and the outstanding-task accounting still
-//     runs so wait_idle() can never hang on a failed task;
-//   * shutdown() is an explicit, idempotent join usable before destruction;
-//     queued tasks are drained first, and submit() after shutdown fails
-//     with a checked error instead of racing the worker teardown.
+// whole process, which makes the shutdown path load-bearing: shutdown() is
+// an explicit, idempotent join usable before destruction; queued tasks are
+// drained first, and submit() after shutdown fails with a checked error
+// instead of racing the worker teardown.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -52,34 +46,22 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
 
-  /// Enqueue one task.  Pair with wait_idle() to join the batch.
+  /// Enqueue one task.  Tasks must not throw: an exception escaping a task
+  /// terminates the process.  The submitter joins its own tasks
+  /// (parallel_for catches every body exception and rethrows it on the
+  /// calling thread).
   void submit(std::function<void()> task) {
     {
       std::scoped_lock lock(mutex_);
       STOF_CHECK(!stopping_, "submit after shutdown");
       tasks_.push(std::move(task));
-      ++outstanding_;
     }
     cv_.notify_one();
   }
 
-  /// Block until every submitted task has completed.  If any task threw
-  /// since the last join, the first captured exception is rethrown here.
-  void wait_idle() {
-    std::exception_ptr error;
-    {
-      std::unique_lock lock(mutex_);
-      idle_cv_.wait(lock, [this] { return outstanding_ == 0; });
-      error = std::exchange(first_error_, nullptr);
-    }
-    if (error) std::rethrow_exception(error);
-  }
-
   /// Drain queued tasks and join every worker.  Idempotent and safe to
   /// race with submit(): late submitters fail the stopping check instead
-  /// of enqueueing into a dead pool.  Exceptions captured from tasks that
-  /// were never joined via wait_idle() are dropped (the batch owner is
-  /// gone).  The destructor calls this.
+  /// of enqueueing into a dead pool.  The destructor calls this.
   void shutdown() {
     std::scoped_lock join_lock(join_mutex_);
     {
@@ -112,27 +94,15 @@ class ThreadPool {
         task = std::move(tasks_.front());
         tasks_.pop();
       }
-      try {
-        task();
-      } catch (...) {
-        std::scoped_lock lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      {
-        std::scoped_lock lock(mutex_);
-        if (--outstanding_ == 0) idle_cv_.notify_all();
-      }
+      task();
     }
   }
 
   std::mutex mutex_;
   std::mutex join_mutex_;
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
   std::queue<std::function<void()>> tasks_;
   std::vector<std::thread> workers_;
-  std::size_t outstanding_ = 0;
-  std::exception_ptr first_error_;
   bool stopping_ = false;
   bool joined_ = false;
 };

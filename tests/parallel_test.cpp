@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <future>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "stof/parallel/thread_pool.hpp"
@@ -12,18 +16,30 @@
 namespace stof {
 namespace {
 
+using namespace std::chrono_literals;
+
+// Runs `fn(pool)` on a fresh 4-thread pool inside std::async and reports
+// whether it returned within `timeout`.  On a timeout the pool and the
+// future are leaked on purpose: a deadlocked call can be neither joined nor
+// destroyed, and the test must fail rather than hang.
+template <typename Fn>
+bool completes_within(std::chrono::seconds timeout, Fn fn) {
+  auto* pool = new ThreadPool(4);
+  auto* call = new std::future<void>(
+      std::async(std::launch::async, [pool, fn] { fn(*pool); }));
+  if (call->wait_for(timeout) != std::future_status::ready) return false;
+  call->get();
+  delete call;
+  delete pool;
+  return true;
+}
+
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
+  pool.shutdown();  // drains the queue
   EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
 }
 
 TEST(ThreadPool, ThreadCountRespected) {
@@ -73,27 +89,6 @@ TEST(ParallelFor, PropagatesFirstException) {
   EXPECT_EQ(count.load(), 10);
 }
 
-TEST(ParallelReduce, SumMatchesSerial) {
-  ThreadPool pool(4);
-  const std::int64_t n = 10000;
-  const std::int64_t sum = parallel_reduce<std::int64_t>(
-      0, n, 0, [](std::int64_t i) { return i; },
-      [](std::int64_t a, std::int64_t b) { return a + b; }, pool);
-  EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  ThreadPool pool(4);
-  std::vector<int> v(997);
-  std::iota(v.begin(), v.end(), 0);
-  v[500] = 100000;
-  const int m = parallel_reduce<int>(
-      0, static_cast<std::int64_t>(v.size()), 0,
-      [&](std::int64_t i) { return v[static_cast<std::size_t>(i)]; },
-      [](int a, int b) { return std::max(a, b); }, pool);
-  EXPECT_EQ(m, 100000);
-}
-
 TEST(ParallelFor, DeterministicResultRegardlessOfThreads) {
   // The static schedule writes each slot from exactly one index, so results
   // cannot depend on the number of workers.
@@ -107,6 +102,78 @@ TEST(ParallelFor, DeterministicResultRegardlessOfThreads) {
   parallel_for(0, 256, body(r1), p1);
   parallel_for(0, 256, body(r4), p4);
   EXPECT_EQ(r1, r4);
+}
+
+TEST(ParallelFor, NestedCallCompletes) {
+  // A parallel_for inside a body runs on a worker; the inner call must not
+  // wait for the outer chunk that is running it.
+  auto hits = std::make_shared<std::vector<std::atomic<int>>>(64);
+  const auto nested = [hits](ThreadPool& pool) {
+    parallel_for(
+        0, 8,
+        [&](std::int64_t i) {
+          parallel_for(
+              0, 8, [&](std::int64_t j) { ++(*hits)[i * 8 + j]; }, pool);
+        },
+        pool);
+  };
+  ASSERT_TRUE(completes_within(10s, nested))
+      << "nested parallel_for did not return";
+  for (auto& h : *hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, NestedExceptionReachesOuterCaller) {
+  const auto nested = [](ThreadPool& pool) {
+    parallel_for(
+        0, 8,
+        [&](std::int64_t i) {
+          parallel_for(
+              0, 8,
+              [i](std::int64_t j) {
+                if (i == 3 && j == 5) throw std::runtime_error("inner");
+              },
+              pool);
+        },
+        pool);
+  };
+  const auto outer_sees_throw = [nested](ThreadPool& pool) {
+    EXPECT_THROW(nested(pool), std::runtime_error);
+  };
+  EXPECT_TRUE(completes_within(10s, outer_sees_throw))
+      << "nested parallel_for did not return";
+}
+
+TEST(ParallelFor, ShortCallDoesNotWaitForAnotherCallersLongOne) {
+  ThreadPool pool(4);
+  std::atomic<bool> release{false};
+  std::atomic<int> spinning{0};
+  std::thread long_caller([&] {
+    parallel_for(
+        0, 4,
+        [&](std::int64_t) {
+          ++spinning;
+          while (!release.load()) std::this_thread::yield();
+        },
+        pool);
+  });
+  // Watchdog: if the short call below waits for the long one, release the
+  // long one after a few seconds so the test fails instead of hanging.
+  std::promise<void> short_done;
+  std::thread watchdog([&release, done = short_done.get_future()] {
+    done.wait_for(5s);
+    release.store(true);
+  });
+  while (spinning.load() < 4) std::this_thread::yield();
+
+  std::atomic<int> ran{0};
+  parallel_for(0, 4, [&](std::int64_t) { ++ran; }, pool);
+  const bool released_before_return = release.load();
+  short_done.set_value();
+  watchdog.join();
+  long_caller.join();
+  EXPECT_FALSE(released_before_return)
+      << "the short call returned only after the long one was released";
+  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace

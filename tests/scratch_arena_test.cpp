@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "stof/parallel/parallel_for.hpp"
@@ -155,6 +157,86 @@ TEST(ParallelForScratch, SerialPathCountsReuseToo) {
   EXPECT_EQ(
       telemetry::global_registry().counter("exec.parallel.scratch_reuse_hits"),
       9);
+}
+
+TEST(ParallelForScratch, ThrowingChunkStillCountsItsReuseHits) {
+  ThreadPool pool(4);
+  telemetry::ScopedTelemetry on(true);
+  telemetry::global_registry().reset();
+  // 8 indices on 4 threads are 4 chunks of 2: each chunk's second task is
+  // a reuse hit, including the chunk whose second task then throws.
+  EXPECT_THROW(parallel_for_scratch(
+                   0, 8,
+                   [](std::int64_t i, ScratchArena& arena) {
+                     arena.alloc(8);
+                     if (i == 7) throw std::runtime_error("late failure");
+                   },
+                   pool),
+               std::runtime_error);
+  EXPECT_EQ(
+      telemetry::global_registry().counter("exec.parallel.scratch_reuse_hits"),
+      4);
+}
+
+TEST(ParallelForScratch, ManyCallersShareOnePool) {
+  // Concurrent callers on one pool: every call visits each index once, and
+  // its reuse hits are those of the same call made alone, because the chunk
+  // partition depends only on (range, pool size) and helpers left over from
+  // a returned call claim nothing.
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 200;
+  ThreadPool pool(4);
+  const auto range = [](int call) { return std::int64_t{1} + call * 13 % 97; };
+
+  // Reuse hits of one call, summed from the bodies' arena deltas.
+  const auto run = [&pool, &range](int call) {
+    const std::int64_t n = range(call);
+    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(n));
+    std::atomic<std::int64_t> hits{0};
+    parallel_for_scratch(
+        0, n,
+        [&](std::int64_t i, ScratchArena& arena) {
+          const std::int64_t before = arena.reuse_hits();
+          for (std::int64_t a = 0; a <= i % 3; ++a) {
+            arena.alloc(16 * (i % 5 + 1));
+          }
+          hits += arena.reuse_hits() - before;
+          visits[static_cast<std::size_t>(i)].fetch_add(1);
+        },
+        pool);
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(visits[static_cast<std::size_t>(i)].load(), 1)
+          << "call " << call << " index " << i;
+    }
+    return hits.load();
+  };
+
+  telemetry::ScopedTelemetry on(true);
+  telemetry::global_registry().reset();
+  std::vector<std::int64_t> alone(kCalls);
+  std::int64_t alone_total = 0;
+  for (int c = 0; c < kCalls; ++c) {
+    alone[static_cast<std::size_t>(c)] = run(c);
+    alone_total += alone[static_cast<std::size_t>(c)];
+  }
+  EXPECT_EQ(
+      telemetry::global_registry().counter("exec.parallel.scratch_reuse_hits"),
+      alone_total);
+
+  telemetry::global_registry().reset();
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int k = 0; k < kCalls; ++k) {
+        const int c = (k + t * 50) % kCalls;  // callers interleave shapes
+        EXPECT_EQ(run(c), alone[static_cast<std::size_t>(c)]) << "call " << c;
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(
+      telemetry::global_registry().counter("exec.parallel.scratch_reuse_hits"),
+      kCallers * alone_total);
 }
 
 }  // namespace

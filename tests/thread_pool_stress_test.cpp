@@ -1,53 +1,63 @@
-// ThreadPool shutdown and exception-path stress tests.
+// ThreadPool shutdown and parallel_for exception-path stress tests.
 //
 // The serving runtime keeps the global pool alive for the whole process,
-// which promotes the pool's failure paths from theoretical to load-bearing:
-// a throwing task must surface at the structured join (not terminate the
-// process or hang wait_idle), and shutdown must be explicit, idempotent,
-// and safe to race with late submitters.
+// which promotes the failure paths from theoretical to load-bearing: a
+// throwing body must surface on the parallel_for caller (not terminate the
+// process or hang the call) and leave the pool usable, and shutdown must be
+// explicit, idempotent, and safe to race with late submitters.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
 #include <thread>
 
+#include "stof/parallel/parallel_for.hpp"
 #include "stof/parallel/thread_pool.hpp"
 
 namespace stof {
 namespace {
 
-TEST(ThreadPoolStress, TaskExceptionRethrownAtWaitIdle) {
+TEST(ThreadPoolStress, BodyExceptionRethrownToCaller) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&ran] { ++ran; });
-  }
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&ran] { ++ran; });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 32);  // healthy tasks all completed
+  // 33 indices on 4 threads are the chunks [0,9) [9,18) [18,27) [27,33).
+  // Index 17 ends its chunk, so every other body is healthy and runs.
+  EXPECT_THROW(parallel_for(
+                   0, 33,
+                   [&ran](std::int64_t i) {
+                     if (i == 17) throw std::runtime_error("body failed");
+                     ++ran;
+                   },
+                   pool),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 32);  // healthy bodies all completed
 }
 
-TEST(ThreadPoolStress, PoolUsableAfterTaskException) {
+TEST(ThreadPoolStress, PoolUsableAfterBodyException) {
   ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The error was consumed at the join; the next batch is clean.
+  EXPECT_THROW(parallel_for(
+                   0, 1,
+                   [](std::int64_t) { throw std::runtime_error("boom"); },
+                   pool),
+               std::runtime_error);
+  // The error belonged to that call; the next call is clean.
   std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) pool.submit([&ran] { ++ran; });
-  EXPECT_NO_THROW(pool.wait_idle());
+  EXPECT_NO_THROW(parallel_for(
+      0, 8, [&ran](std::int64_t) { ++ran; }, pool));
   EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ThreadPoolStress, OnlyFirstExceptionIsReported) {
   ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([] { throw std::runtime_error("one of many"); });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_NO_THROW(pool.wait_idle());  // later failures were not queued up
+  EXPECT_THROW(parallel_for(
+                   0, 8,
+                   [](std::int64_t) {
+                     throw std::runtime_error("one of many");
+                   },
+                   pool),
+               std::runtime_error);
+  // Later failures of that call were not queued up for the next one.
+  EXPECT_NO_THROW(parallel_for(0, 8, [](std::int64_t) {}, pool));
 }
 
 TEST(ThreadPoolStress, ShutdownDrainsQueuedTasks) {
@@ -80,6 +90,17 @@ TEST(ThreadPoolStress, SubmitAfterShutdownThrows) {
   EXPECT_THROW(pool.submit([] {}), Error);
 }
 
+TEST(ThreadPoolStress, ParallelForOnShutDownPoolThrows) {
+  ThreadPool pool(4);
+  pool.shutdown();
+  std::atomic<int> ran{0};
+  EXPECT_THROW(parallel_for(0, 8, [&ran](std::int64_t) { ++ran; }, pool),
+               Error);
+  // No helper could be queued, so the caller ran every chunk itself before
+  // it reported the failed submit.
+  EXPECT_EQ(ran.load(), 8);
+}
+
 TEST(ThreadPoolStress, ConcurrentSubmittersRacingShutdown) {
   // Late submitters must either succeed (task runs before workers join) or
   // fail the stopping check — never enqueue into a dead pool or crash.
@@ -107,19 +128,27 @@ TEST(ThreadPoolStress, ConcurrentSubmittersRacingShutdown) {
   EXPECT_GT(accepted.load(), 0);
 }
 
-TEST(ThreadPoolStress, ManyBatchesWithInterleavedFailures) {
+TEST(ThreadPoolStress, ManyCallsWithInterleavedFailures) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   int thrown = 0;
   for (int batch = 0; batch < 50; ++batch) {
     const bool poison = batch % 7 == 0;
-    for (int i = 0; i < 8; ++i) pool.submit([&ran] { ++ran; });
-    if (poison) pool.submit([] { throw std::runtime_error("poison"); });
+    // 9 indices on 4 threads are the chunks [0,3) [3,6) [6,9): the poison
+    // at index 8 ends its chunk, so the 8 healthy bodies always run.
+    const auto body = [&ran, poison](std::int64_t i) {
+      if (i == 8) {
+        if (poison) throw std::runtime_error("poison");
+        return;
+      }
+      ++ran;
+    };
     if (poison) {
-      EXPECT_THROW(pool.wait_idle(), std::runtime_error) << batch;
+      EXPECT_THROW(parallel_for(0, 9, body, pool), std::runtime_error)
+          << batch;
       ++thrown;
     } else {
-      EXPECT_NO_THROW(pool.wait_idle()) << batch;
+      EXPECT_NO_THROW(parallel_for(0, 9, body, pool)) << batch;
     }
   }
   EXPECT_EQ(ran.load(), 50 * 8);
