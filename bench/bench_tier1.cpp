@@ -12,7 +12,7 @@
 //     continuous-batching schedule against the batch-1 serial baseline in
 //     simulated GPU time (scalar_ms = serial, packed_ms = continuous).
 //   * SERVE_DECODE_LONG few-session long-generation trace, wall-clock
-//     scalar vs packed engine — tracks the KV float-panel sidecar's
+//     scalar vs packed engine — tracks the KV pool's decode sidecar's
 //     incremental-conversion win on decode-dominated workloads.
 //   * SERVE_E2E_LAYER decode-heavy GPT-decoder trace executed through the
 //     engine's fused transformer-layer graph vs launch-per-op eager
@@ -455,8 +455,8 @@ Entry bench_serve_burst_p99(bool quick) {
 /// shape where the KV float-panel sidecar matters.  Unlike the
 /// serve_continuous_batching entry this one measures *wall-clock* ms of the
 /// whole trace replay: scalar_ms runs the engine in scalar mode, packed_ms
-/// in packed mode (per-step KV conversion served incrementally from the
-/// cross-call panel registry, O(new tokens) instead of O(prefix) per step).
+/// in packed mode (the KV pool converts only each step's new rows into its
+/// decode sidecar, O(new tokens) instead of O(prefix) per step).
 /// bit_identical checks the per-session digests agree across the two modes
 /// — the decode path's bit-identity contract, end to end.
 Entry bench_serve_decode_long(bool quick) {
@@ -490,9 +490,9 @@ Entry bench_serve_decode_long(bool quick) {
                         quick ? 2 : 3);
   e.bit_identical = sb::digests_match(scalar_run, packed_run);
 
-  // Instrumented pass: serve.* counters plus the panel-cache accounting of
-  // one packed replay (a fresh engine, so the registry keys are fresh and
-  // the hit/miss/bytes_converted snapshot is deterministic).
+  // Instrumented pass: serve.* counters plus the conversion accounting of
+  // one packed replay (a fresh engine with a fresh KV pool, so the
+  // sidecar and panel-cache snapshot is deterministic).
   {
     stof::telemetry::ScopedTelemetry on(true);
     stof::telemetry::global_registry().reset();
@@ -510,7 +510,7 @@ Entry bench_serve_decode_long(bool quick) {
 ///   * determinism — two INT8 replays must produce identical digests
 ///     (quantize-once codes are a pure function of the session tokens);
 ///   * conversion traffic — the INT8 sidecar must write well under the FP32
-///     sidecar's exec.panelcache.bytes_converted (1 byte/elem vs 2).
+///     sidecar's serve.kv.sidecar_bytes_converted (1 byte/elem vs 2).
 Entry bench_serve_decode_long_int8(bool quick) {
   namespace sb = stof::serve::bench;
   sb::TraceConfig tc;
@@ -675,6 +675,12 @@ Entry bench_serve_prefix_shared(bool quick) {
             std::to_string(tc.template_len) +
             " shared tokens, heads 16, max_seq 768, simulated ms "
             "(prefix sharing off vs on)";
+  // Total conversion traffic: panels built through a PanelCacheRegistry
+  // (prefill batches, weights) plus the KV pool's own decode sidecar.
+  const auto total_converted = [](const auto& counters) {
+    return counters.at("exec.panelcache.bytes_converted") +
+           counters.at("serve.kv.sidecar_bytes_converted");
+  };
   std::int64_t off_prefill_tokens = 0, off_converted = 0, off_sidecar = 0;
   {
     stof::telemetry::ScopedTelemetry on_t(true);
@@ -682,8 +688,8 @@ Entry bench_serve_prefix_shared(bool quick) {
     const auto off = sb::run_trace(off_cfg, trace);
     off_prefill_tokens =
         stof::telemetry::global_registry().counter("serve.prefill.tokens");
-    off_converted = stof::telemetry::global_registry().counter(
-        "exec.panelcache.bytes_converted");
+    off_converted =
+        total_converted(stof::telemetry::global_registry().counters());
     off_sidecar = stof::telemetry::global_registry().counter(
         "serve.kv.sidecar_bytes_converted");
 
@@ -728,8 +734,7 @@ Entry bench_serve_prefix_shared(bool quick) {
   // with unique pages, not with sessions.
   const std::int64_t on_sidecar =
       e.counters["serve.kv.sidecar_bytes_converted"];
-  const std::int64_t on_converted =
-      e.counters["exec.panelcache.bytes_converted"];
+  const std::int64_t on_converted = total_converted(e.counters);
   if (on_sidecar * 2 > off_sidecar || on_converted >= off_converted) {
     std::cerr << e.name << ": sharing saved too little conversion traffic "
               << "(sidecar " << on_sidecar << "/" << off_sidecar

@@ -24,10 +24,9 @@
 
 namespace stof {
 
-/// Process-unique id for a freshly allocated storage buffer.  Tensor mints
-/// one per allocation; holders of non-Tensor storage (e.g. the serving KV
-/// pool's pages) mint their own so every cacheable buffer shares one id
-/// space.  Never returns 0, which marks "no storage".
+/// Process-unique id for a freshly allocated storage buffer: Tensor mints
+/// one per allocation, and panel caches key on it.  Never returns 0, which
+/// marks "no storage".
 inline std::uint64_t next_storage_id() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -9,16 +9,6 @@
 namespace stof::mha {
 namespace {
 
-/// Row-major conversion of destination elements [lo, hi); source and
-/// destination offsets coincide, so partial ranges are exact.
-void convert_rows(const TensorH& src, std::int64_t lo, std::int64_t hi,
-                  float* dst) {
-  packed::half_to_float(
-      src.data().subspan(static_cast<std::size_t>(lo),
-                         static_cast<std::size_t>(hi - lo)),
-      {dst + lo, static_cast<std::size_t>(hi - lo)});
-}
-
 /// Full convert-and-transpose of every instance panel: (seq x d) half in,
 /// kv_instances contiguous (d x seq) float panels out.  Tiled so both the
 /// strided reads and the contiguous writes stay cache-resident.
@@ -47,8 +37,10 @@ void convert_transposed(const TensorH& k, std::int64_t kv_instances,
 /// Parallel row-major conversion of all instance panels.
 void convert_row_major(const TensorH& t, std::int64_t kv_instances,
                        std::int64_t panel, float* out) {
+  const auto n = static_cast<std::size_t>(panel);
   parallel_for(0, kv_instances, [&](std::int64_t kv) {
-    convert_rows(t, kv * panel, (kv + 1) * panel, out);
+    const auto at = static_cast<std::size_t>(kv) * n;
+    packed::half_to_float(t.data().subspan(at, n), {out + at, n});
   });
 }
 
@@ -72,81 +64,65 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
   // Panels are keyed on each tensor's storage identity (plus layout
   // variant) and tagged with its mutation stamp, so an unmodified tensor
   // converts once across any number of kernel calls while any write forces
-  // a fresh conversion.  These whole-tensor panels never extend
-  // incrementally — a version bump reconverts all of them — so converters
-  // always receive the full [0, total).  A transposed panel's layout
-  // depends on the (seq, d) factorisation, so the variant encodes it;
-  // row-major layout is factorisation-free.
+  // a fresh conversion.  A transposed panel's layout depends on the
+  // (seq, d) factorisation, so the variant encodes it; row-major layout is
+  // factorisation-free.
   const std::uint64_t k_variant =
       transpose_k ? core::kPanelTransposed |
                         (static_cast<std::uint64_t>(seq_) << 8) |
                         (static_cast<std::uint64_t>(d_) << 36)
                   : core::kPanelRowMajor;
-  std::int64_t converted_panels = 0;
+  bool k_converted = false;
+  bool v_converted = false;
   if (precision_ == core::PanelPrecision::kInt8) {
     // INT8 tier: one symmetric scale per instance panel, codes in the same
     // layout the float tier would use (K optionally transposed).  The
     // transposed K codes quantize a transposed float staging buffer so the
     // scale still covers exactly one instance's values.
-    const auto k_quant = [&](std::int8_t* codes, float* scales) {
-      if (transpose_k) {
-        std::vector<float> staged(static_cast<std::size_t>(total));
-        convert_transposed(k, kv_instances, seq_, d_, staged.data());
-        packed::quantize_floats(staged.data(), total, panel, codes, scales);
-      } else {
-        packed::quantize_halfs(k.data(), panel, codes, scales);
-      }
-    };
-    const auto v_quant = [&](std::int8_t* codes, float* scales) {
-      packed::quantize_halfs(v.data(), panel, codes, scales);
-    };
-    const auto wrap = [total](const auto& quant) {
-      return [total, &quant](std::int64_t lo, std::int64_t hi,
-                             std::int8_t* codes, float* scales) {
-        STOF_CHECK(lo == 0 && hi == total,
-                   "whole-tensor panels convert in full");
-        quant(codes, scales);
-      };
-    };
     k8_ref_ = registry.get_or_convert_int8(
         {k.storage_id(), k_variant | core::kPanelInt8}, k.version(), total,
-        total, panel, wrap(k_quant));
+        panel, [&](std::int8_t* codes, float* scales) {
+          if (transpose_k) {
+            std::vector<float> staged(static_cast<std::size_t>(total));
+            convert_transposed(k, kv_instances, seq_, d_, staged.data());
+            packed::quantize_floats(staged.data(), total, panel, codes,
+                                    scales);
+          } else {
+            packed::quantize_halfs(k.data(), panel, codes, scales);
+          }
+        });
     v8_ref_ = registry.get_or_convert_int8(
         {v.storage_id(), core::kPanelRowMajor | core::kPanelInt8},
-        v.version(), total, total, panel, wrap(v_quant));
+        v.version(), total, panel, [&](std::int8_t* codes, float* scales) {
+          packed::quantize_halfs(v.data(), panel, codes, scales);
+        });
     k8_data_ = k8_ref_.data();
     v8_data_ = v8_ref_.data();
     k_scales_ = k8_ref_.scale_data();
     v_scales_ = v8_ref_.scale_data();
-    if (k8_ref_.converted_elems > 0) converted_panels += kv_instances;
-    if (v8_ref_.converted_elems > 0) converted_panels += kv_instances;
-    if (converted_panels > 0) {
-      telemetry::count("exec.mha.panels_converted", converted_panels);
-    }
-    return;
+    k_converted = k8_ref_.converted_elems > 0;
+    v_converted = v8_ref_.converted_elems > 0;
+  } else {
+    k_ref_ = registry.get_or_convert(
+        {k.storage_id(), k_variant}, k.version(), total, [&](float* dst) {
+          if (transpose_k) {
+            convert_transposed(k, kv_instances, seq_, d_, dst);
+          } else {
+            convert_row_major(k, kv_instances, panel, dst);
+          }
+        });
+    v_ref_ = registry.get_or_convert(
+        {v.storage_id(), core::kPanelRowMajor}, v.version(), total,
+        [&](float* dst) { convert_row_major(v, kv_instances, panel, dst); });
+    k_data_ = k_ref_.data();
+    v_data_ = v_ref_.data();
+    k_converted = k_ref_.converted_elems > 0;
+    v_converted = v_ref_.converted_elems > 0;
   }
-  const auto k_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
-    STOF_CHECK(lo == 0 && hi == total, "whole-tensor panels convert in full");
-    if (transpose_k) {
-      convert_transposed(k, kv_instances, seq_, d_, dst);
-    } else {
-      convert_row_major(k, kv_instances, panel, dst);
-    }
-  };
-  const auto v_convert = [&](std::int64_t lo, std::int64_t hi, float* dst) {
-    STOF_CHECK(lo == 0 && hi == total, "whole-tensor panels convert in full");
-    convert_row_major(v, kv_instances, panel, dst);
-  };
-  k_ref_ = registry.get_or_convert({k.storage_id(), k_variant}, k.version(),
-                                   total, total, k_convert);
-  v_ref_ = registry.get_or_convert({v.storage_id(), core::kPanelRowMajor},
-                                   v.version(), total, total, v_convert);
-  k_data_ = k_ref_.data();
-  v_data_ = v_ref_.data();
-  if (k_ref_.converted_elems > 0) converted_panels += kv_instances;
-  if (v_ref_.converted_elems > 0) converted_panels += kv_instances;
   // One K and one V panel per instance when conversion actually ran;
   // registry hits reuse earlier conversions and count nothing.
+  const std::int64_t converted_panels =
+      (k_converted ? kv_instances : 0) + (v_converted ? kv_instances : 0);
   if (converted_panels > 0) {
     telemetry::count("exec.mha.panels_converted", converted_panels);
   }

@@ -16,7 +16,9 @@
 // Panels are fetched from a core::PanelCacheRegistry keyed on the K/V
 // tensors' storage identity and version, so repeated calls over unmodified
 // tensors (bench reps, tuner candidate evaluations) reuse one conversion.
-// The cache pins the registry buffers for its own lifetime.
+// The caller picks the registry: the kernels pass the process-wide one,
+// varlen attention a call-local one for its one-step batch tensors.  The
+// cache pins the registry buffers for its own lifetime.
 //
 // Conversion uses the exact half->float table, so cached panels carry the
 // same values the scalar path reads element-wise — caching cannot perturb

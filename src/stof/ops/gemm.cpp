@@ -161,13 +161,10 @@ void run_packed_int8(const GemmView& v, const std::int8_t* b_codes,
 /// per load and every later call (any layer, any tuner evaluation) is a
 /// pure hit; the version tag forces a reconvert if the tensor mutates.
 core::PanelRef fetch_b_panel(const TensorH& b) {
-  const half* src = b.data().data();
-  const std::int64_t total = b.numel();
   return core::global_panel_cache().get_or_convert(
-      {b.storage_id(), core::kPanelRowMajor}, b.version(), total, total,
-      [src](std::int64_t lo, std::int64_t hi, float* dst) {
-        packed::half_to_float({src + lo, static_cast<std::size_t>(hi - lo)},
-                              {dst + lo, static_cast<std::size_t>(hi - lo)});
+      {b.storage_id(), core::kPanelRowMajor}, b.version(), b.numel(),
+      [&b](float* dst) {
+        packed::half_to_float(b.data(), {dst, b.data().size()});
       });
 }
 
@@ -176,17 +173,14 @@ core::PanelRef fetch_b_panel(const TensorH& b) {
 /// kPanelInt8 flag keeps it disjoint from the FP32 panel of the same
 /// storage, so a tensor used at both precisions caches both tiers.
 core::Int8PanelRef fetch_b_panel_int8(const TensorH& b) {
-  const half* src = b.data().data();
   const std::int64_t total = b.numel();
   const std::int64_t panel =
       b.shape().rank() == 3 ? b.shape()[1] * b.shape()[2] : total;
   return core::global_panel_cache().get_or_convert_int8(
       {b.storage_id(), core::kPanelRowMajor | core::kPanelInt8}, b.version(),
-      total, total, /*scale_group=*/panel,
-      [src, panel](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
-                   float* scales) {
-        packed::quantize_halfs({src + lo, static_cast<std::size_t>(hi - lo)},
-                               panel, codes + lo, scales + lo / panel);
+      total, /*scale_group=*/panel,
+      [&b, panel](std::int8_t* codes, float* scales) {
+        packed::quantize_halfs(b.data(), panel, codes, scales);
       });
 }
 

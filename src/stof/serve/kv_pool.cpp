@@ -5,7 +5,6 @@
 
 #include "stof/core/checksum.hpp"
 #include "stof/core/packed.hpp"
-#include "stof/core/tensor.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::serve {
@@ -111,37 +110,30 @@ void PrefixIndex::touch_chain(std::int32_t id, std::int64_t now) {
 
 // ---- KvPool -----------------------------------------------------------
 
-KvPool::KvPool(const KvPoolConfig& config, core::PanelCacheRegistry* registry)
-    : config_(config),
-      registry_(registry != nullptr ? registry
-                                    : &core::global_panel_cache()) {
+KvPool::KvPool(const KvPoolConfig& config) : config_(config) {
   config_.validate();
   const auto elems = static_cast<std::size_t>(config_.num_blocks *
                                               config_.block_elems());
+  const auto rows = static_cast<std::size_t>(config_.num_blocks *
+                                             config_.block_tokens);
   k_arena_.assign(elems, half{});
   v_arena_.assign(elems, half{});
+  for (SidecarStore* store : {&k_sidecar_, &v_sidecar_}) {
+    if (config_.sidecar_precision == core::PanelPrecision::kInt8) {
+      store->i8 = std::make_unique_for_overwrite<std::int8_t[]>(elems);
+      store->scales = std::make_unique_for_overwrite<float[]>(rows);
+    } else {
+      store->f32 = std::make_unique_for_overwrite<float[]>(elems);
+    }
+  }
   free_.reserve(static_cast<std::size_t>(config_.num_blocks));
   // Descending, so allocation hands out block 0, 1, 2, ... in order.
   for (std::int64_t b = config_.num_blocks - 1; b >= 0; --b) {
     free_.push_back(static_cast<std::int32_t>(b));
   }
-  // Blocks live inside one arena, so arena identity can't key the panel
-  // registry; mint a process-unique synthetic storage id per block+side.
-  k_keys_.reserve(static_cast<std::size_t>(config_.num_blocks));
-  v_keys_.reserve(static_cast<std::size_t>(config_.num_blocks));
-  for (std::int64_t b = 0; b < config_.num_blocks; ++b) {
-    k_keys_.push_back(next_storage_id());
-    v_keys_.push_back(next_storage_id());
-  }
-  block_gen_.assign(static_cast<std::size_t>(config_.num_blocks), 0);
+  block_rows_.assign(static_cast<std::size_t>(config_.num_blocks), 0);
+  converted_rows_.assign(static_cast<std::size_t>(config_.num_blocks), 0);
   block_refs_.assign(static_cast<std::size_t>(config_.num_blocks), 0);
-}
-
-KvPool::~KvPool() {
-  // Lifecycle cleanup, not staleness: drop this pool's entries so a stream
-  // of short-lived pools can't grow the registry with dead keys.
-  for (const auto key : k_keys_) registry_->drop_storage(key);
-  for (const auto key : v_keys_) registry_->drop_storage(key);
 }
 
 std::int64_t KvPool::tokens(SessionId id) const {
@@ -232,28 +224,13 @@ void KvPool::unref_block(std::int32_t block) {
   auto& refs = block_refs_[static_cast<std::size_t>(block)];
   STOF_CHECK(refs > 0, "unref of a free block");
   if (--refs > 0) return;
-  invalidate_block_panels(block);
+  block_rows_[static_cast<std::size_t>(block)] = 0;
+  converted_rows_[static_cast<std::size_t>(block)] = 0;
   // Sorted-descending insertion keeps allocation order a pure function of
   // the alloc/release sequence, never of drop order within a batch.
   const auto pos =
       std::lower_bound(free_.begin(), free_.end(), block, std::greater<>());
   free_.insert(pos, block);
-}
-
-void KvPool::invalidate_block_panels(std::int32_t block) {
-  const auto bi = static_cast<std::size_t>(block);
-  // A recycled (or row-shrunk) page must never serve its previous bytes'
-  // panels: drop the registry entries now and bump the generation so even
-  // a racing stale handle could not be re-validated.
-  registry_->invalidate({k_keys_[bi], sidecar_variant()});
-  registry_->invalidate({v_keys_[bi], sidecar_variant()});
-  ++block_gen_[bi];
-}
-
-std::uint64_t KvPool::sidecar_variant() const {
-  return config_.sidecar_precision == core::PanelPrecision::kInt8
-             ? core::kPanelRowMajor | core::kPanelInt8
-             : core::kPanelRowMajor;
 }
 
 bool KvPool::cow_tail(SessionBlocks& sb) {
@@ -269,9 +246,6 @@ bool KvPool::cow_tail(SessionBlocks& sb) {
   sb.k_ptrs.back() = k_base(fresh);
   sb.v_ptrs.back() = v_base(fresh);
   sb.cow_pending = false;
-  // Sidecar state for the tail page is per-ensure anyway: the tail is
-  // partial, so converted_blocks never covers it and the next ensure
-  // re-resolves the page under the fresh block's key.
   peak_used_ = std::max(peak_used_, used_blocks());
   telemetry::count("serve.prefix.cow_copies", 1);
   return true;
@@ -298,6 +272,11 @@ std::optional<TokenSlot> KvPool::append_token(SessionId id) {
     if (!cow_tail(sb)) return std::nullopt;
   }
   const std::int32_t block = sb.block_ids.back();
+  // Row `local` is (re)written: the block now holds rows [0, local], and
+  // its sidecar is current only below `local`.
+  const auto bi = static_cast<std::size_t>(block);
+  block_rows_[bi] = local + 1;
+  converted_rows_[bi] = std::min(converted_rows_[bi], local);
   const std::int64_t row = local * config_.heads * config_.head_size;
   ++sb.tokens;
   return TokenSlot{k_base(block) + row, v_base(block) + row};
@@ -342,9 +321,8 @@ PrefixMatch KvPool::adopt_prefix(SessionId id, const Request& r,
     }
   }
   sb.tokens = m.tokens;
-  // Adopted partial tails must CoW on first append even if every other
-  // owner drops in the meantime — the page's registry entry may already
-  // cover rows this session never wrote.
+  // Adopted partial tails CoW on first append even if every other owner
+  // drops in the meantime (see SessionBlocks::cow_pending).
   sb.cow_pending = m.partial;
   prefix_.touch_chain(chain.back(), prefix_clock_++);
   telemetry::count("serve.prefix.hits", 1);
@@ -422,25 +400,20 @@ void KvPool::truncate(SessionId id, std::int64_t new_tokens) {
     sb.k_ptrs.pop_back();
     sb.v_ptrs.pop_back();
   }
-  const auto clamp = [keep](auto& v) {
-    if (static_cast<std::int64_t>(v.size()) > keep) {
-      v.resize(static_cast<std::size_t>(keep));
-    }
-  };
-  clamp(sb.sidecar);
-  clamp(sb.pins);
-  sb.converted_blocks =
-      std::min(sb.converted_blocks, new_tokens / config_.block_tokens);
+  if (static_cast<std::int64_t>(sb.sidecar.size()) > keep) {
+    sb.sidecar.resize(static_cast<std::size_t>(keep));
+  }
   sb.tokens = new_tokens;
-  if (new_tokens % config_.block_tokens != 0) {
-    // The surviving tail lost rows; future appends rewrite them with
-    // different bytes, so its sidecar entries must not be extendable.
-    const std::int32_t tail = sb.block_ids.back();
-    if (block_refs_[static_cast<std::size_t>(tail)] == 1) {
-      invalidate_block_panels(tail);
+  const std::int64_t tail_rows = new_tokens % config_.block_tokens;
+  if (tail_rows != 0) {
+    const auto tail = static_cast<std::size_t>(sb.block_ids.back());
+    if (block_refs_[tail] == 1) {
+      // The private tail lost rows: drop them and their conversions.
+      block_rows_[tail] = tail_rows;
+      converted_rows_[tail] = std::min(converted_rows_[tail], tail_rows);
     } else {
-      // Shared tail: other owners' panels stay valid (we never wrote their
-      // rows), and our next append CoWs regardless of refcount drift.
+      // Shared tail: other owners still hold its rows, and our next append
+      // CoWs regardless of refcount drift.
       sb.cow_pending = true;
     }
   }
@@ -448,6 +421,7 @@ void KvPool::truncate(SessionId id, std::int64_t new_tokens) {
 }
 
 bool KvPool::check_conservation() const {
+  const std::int64_t bt = config_.block_tokens;
   std::vector<std::int32_t> expect(
       static_cast<std::size_t>(config_.num_blocks), 0);
   for (const auto& [sid, sb] : by_session_) {
@@ -456,19 +430,30 @@ bool KvPool::check_conservation() const {
         blocks_for(sb.tokens)) {
       return false;
     }
-    for (const auto b : sb.block_ids) {
+    for (std::size_t p = 0; p < sb.block_ids.size(); ++p) {
+      const std::int32_t b = sb.block_ids[p];
       if (b < 0 || b >= config_.num_blocks) return false;
       ++expect[static_cast<std::size_t>(b)];
+      const std::int64_t rows =
+          std::min(bt, sb.tokens - static_cast<std::int64_t>(p) * bt);
+      if (rows > block_rows_[static_cast<std::size_t>(b)]) return false;
     }
   }
   for (const auto& n : prefix_.nodes_) {
     if (n.block < 0) continue;
     if (n.block >= config_.num_blocks) return false;
     ++expect[static_cast<std::size_t>(n.block)];
+    if (n.valid_tokens > block_rows_[static_cast<std::size_t>(n.block)]) {
+      return false;
+    }
   }
   for (std::int64_t b = 0; b < config_.num_blocks; ++b) {
-    if (expect[static_cast<std::size_t>(b)] !=
-        block_refs_[static_cast<std::size_t>(b)]) {
+    const auto bi = static_cast<std::size_t>(b);
+    if (expect[bi] != block_refs_[bi]) return false;
+    // Sidecar: a free block holds no rows (so has converted none), and no
+    // block has converted more rows than it holds.
+    if (block_refs_[bi] == 0 && block_rows_[bi] != 0) return false;
+    if (converted_rows_[bi] > block_rows_[bi] || block_rows_[bi] > bt) {
       return false;
     }
   }
@@ -504,35 +489,37 @@ std::span<const half* const> KvPool::v_blocks(SessionId id) const {
   return it->second.v_ptrs;
 }
 
-std::int64_t KvPool::convert_panel(std::uint64_t storage, std::uint64_t gen,
-                                   const half* src, std::int64_t valid,
-                                   mha::SidecarPanel& view, PanelPin& pin) {
-  const std::int64_t total = config_.block_elems();
-  if (config_.sidecar_precision == core::PanelPrecision::kInt8) {
-    // One scale per token row keeps extension exact: a row's codes never
-    // depend on later rows, so quantize-once over a filling tail page
-    // equals a fresh full quantize.
-    const std::int64_t row = config_.heads * config_.head_size;
-    const core::Int8PanelRef ref = registry_->get_or_convert_int8(
-        {storage, sidecar_variant()}, gen, total, valid, row,
-        [src, row](std::int64_t lo, std::int64_t hi, std::int8_t* codes,
-                   float* scales) {
-          packed::quantize_halfs({src + lo, static_cast<std::size_t>(hi - lo)},
-                                 row, codes + lo, scales + lo / row);
-        });
-    view = {nullptr, ref.data(), ref.scale_data()};
-    pin = {ref.codes, ref.scales};
-    return ref.converted_elems;
-  }
-  const core::PanelRef ref = registry_->get_or_convert(
-      {storage, sidecar_variant()}, gen, total, valid,
-      [src](std::int64_t lo, std::int64_t hi, float* dst) {
-        packed::half_to_float({src + lo, static_cast<std::size_t>(hi - lo)},
-                              {dst + lo, static_cast<std::size_t>(hi - lo)});
-      });
-  view = {ref.data(), nullptr, nullptr};
-  pin = {ref.buffer, nullptr};
-  return ref.converted_elems;
+void KvPool::convert_rows(std::int32_t block, std::int64_t lo,
+                          std::int64_t hi) {
+  const std::int64_t row = config_.heads * config_.head_size;
+  const auto first =
+      static_cast<std::size_t>(block * config_.block_tokens + lo);
+  const auto at = first * static_cast<std::size_t>(row);
+  const auto n = static_cast<std::size_t>((hi - lo) * row);
+  const auto convert = [&](const std::vector<half>& arena,
+                           SidecarStore& store) {
+    const std::span<const half> src{arena.data() + at, n};
+    if (config_.sidecar_precision == core::PanelPrecision::kInt8) {
+      // One scale per token row: a row's codes never depend on other
+      // rows, so converting a page row range by row range is exact.
+      packed::quantize_halfs(src, row, store.i8.get() + at,
+                             store.scales.get() + first);
+    } else {
+      packed::half_to_float(src, {store.f32.get() + at, n});
+    }
+  };
+  convert(k_arena_, k_sidecar_);
+  convert(v_arena_, v_sidecar_);
+}
+
+mha::SidecarPage KvPool::sidecar_page(std::int32_t block) const {
+  const auto at = static_cast<std::size_t>(block * config_.block_elems());
+  const auto first = static_cast<std::size_t>(block * config_.block_tokens);
+  const auto panel = [&](const SidecarStore& store) -> mha::SidecarPanel {
+    if (store.f32) return {store.f32.get() + at, nullptr, nullptr};
+    return {nullptr, store.i8.get() + at, store.scales.get() + first};
+  };
+  return {panel(k_sidecar_), panel(v_sidecar_)};
 }
 
 void KvPool::ensure_sidecar(SessionId id) {
@@ -540,37 +527,29 @@ void KvPool::ensure_sidecar(SessionId id) {
   if (it == by_session_.end()) return;
   SessionBlocks& sb = it->second;
   const std::int64_t bt = config_.block_tokens;
-  const std::int64_t row = config_.heads * config_.head_size;
-  const auto nblocks = static_cast<std::int64_t>(sb.block_ids.size());
-  sb.sidecar.resize(static_cast<std::size_t>(nblocks));
-  sb.pins.resize(static_cast<std::size_t>(nblocks));
-  std::int64_t converted = 0;
-  // Leading `converted_blocks` pages are full and pinned — their half rows
-  // can no longer change while this session holds them, so only the tail
-  // (partially filled or newly allocated pages) is visited.  This is the
-  // skip-prefix step that makes per-decode conversion O(new rows).
-  for (std::int64_t p = sb.converted_blocks; p < nblocks; ++p) {
-    const auto pi = static_cast<std::size_t>(p);
-    const std::int32_t block = sb.block_ids[pi];
-    const auto bi = static_cast<std::size_t>(block);
-    const std::int64_t valid = std::min(bt, sb.tokens - p * bt) * row;
-    converted += convert_panel(k_keys_[bi], block_gen_[bi], k_base(block),
-                               valid, sb.sidecar[pi].k, sb.pins[pi].k);
-    converted += convert_panel(v_keys_[bi], block_gen_[bi], v_base(block),
-                               valid, sb.sidecar[pi].v, sb.pins[pi].v);
+  sb.sidecar.resize(sb.block_ids.size());
+  std::int64_t rows = 0;
+  for (std::size_t p = 0; p < sb.block_ids.size(); ++p) {
+    const std::int32_t block = sb.block_ids[p];
+    std::int64_t& converted = converted_rows_[static_cast<std::size_t>(block)];
+    const std::int64_t valid =
+        std::min(bt, sb.tokens - static_cast<std::int64_t>(p) * bt);
+    if (converted < valid) {
+      convert_rows(block, converted, valid);
+      rows += valid - converted;
+      converted = valid;
+    }
+    sb.sidecar[p] = sidecar_page(block);
   }
-  // Decode-sidecar traffic alone (prefill panels excluded), in
-  // exec.panelcache.bytes_converted units: 2 bytes per float element, 1
-  // per INT8 code — the INT8 tier's headline saving.
-  if (converted > 0) {
+  // Decode-sidecar traffic in exec.panelcache.bytes_converted units: 2
+  // bytes per float element, 1 per INT8 code — the INT8 tier's headline
+  // saving.  K and V each convert `rows` token rows.
+  if (rows > 0) {
     const std::int64_t bytes_per_elem =
         config_.sidecar_precision == core::PanelPrecision::kInt8 ? 1 : 2;
     telemetry::count("serve.kv.sidecar_bytes_converted",
-                     bytes_per_elem * converted);
-  }
-  while (sb.converted_blocks < nblocks &&
-         (sb.converted_blocks + 1) * bt <= sb.tokens) {
-    ++sb.converted_blocks;
+                     bytes_per_elem * 2 * rows * config_.heads *
+                         config_.head_size);
   }
 }
 
@@ -584,8 +563,7 @@ void KvPool::release(SessionId id) {
   const auto it = by_session_.find(id);
   if (it == by_session_.end()) return;
   // Refcount-aware: only pages whose last owner this session is are
-  // recycled (and only their panels invalidated) — shared prefix pages
-  // keep their registry keys across owners.
+  // recycled — shared prefix pages keep their sidecar rows across owners.
   for (const auto block : it->second.block_ids) {
     unref_block(block);
   }

@@ -23,12 +23,25 @@
 // donor's own decode append after publishing) copies the page's valid
 // rows into a private block first (CoW), so a shared page's bytes are
 // immutable for as long as anything references it.  release()/truncate()
-// are refcount-aware: a block is recycled (and its generation bumped,
-// invalidating its sidecar panels) only when the last owner drops it —
-// shared pages therefore keep one PanelCacheRegistry key across owners,
-// and a prefix hit is also a panel-cache hit.  Pages held only by the
-// tree are reclaimed LRU-subtree-first when the free list runs dry, so
-// the prefix cache never displaces live sessions.
+// are refcount-aware: a block is recycled (and its decode sidecar rows
+// reset) only when the last owner drops it — shared pages therefore keep
+// one sidecar conversion across owners, and a prefix hit is also a
+// sidecar hit.  Pages held only by the tree are reclaimed
+// LRU-subtree-first when the free list runs dry, so the prefix cache
+// never displaces live sessions.
+//
+// Decode sidecar: next to each half arena the pool keeps one sidecar store
+// at the pool's one precision (KvPoolConfig::sidecar_precision) — exact
+// FP32 values, or INT8 codes plus one scale per token row — and a
+// per-block count of converted rows.  ensure_sidecar() converts rows
+// [converted, valid) of each of a session's blocks, so per-step conversion
+// work is O(new tokens), not O(prefix), and a shared page converts once
+// for all its owners.  Every write lowers the count to the first row
+// written (append_token at row r, truncate, recycling to the free list),
+// so a converted sidecar row is always the exact conversion of the half
+// row it mirrors: a recycled page can never serve another session's
+// values, and a preempted session that recomputes its prefix stays
+// bit-identical.
 #pragma once
 
 #include <algorithm>
@@ -41,7 +54,6 @@
 
 #include "stof/core/check.hpp"
 #include "stof/core/half.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/mha/decode.hpp"
 #include "stof/serve/request.hpp"
 
@@ -144,22 +156,11 @@ class PrefixIndex {
   std::size_t live_nodes_ = 0;
 };
 
-/// Bounded paged KV-cache with per-session block lists.
-///
-/// Decode sidecar: ensure_sidecar() materialises the pool's sidecar tier
-/// (FP32 or INT8, fixed at construction) of a session's KV pages through
-/// the cross-call PanelCacheRegistry, converting only pages (or page
-/// suffixes) appended since the last call — per-step conversion work is
-/// O(new tokens), not O(prefix).  Fully converted leading pages are pinned
-/// and skipped on later calls.  release() invalidates the registry entries
-/// and bumps each page's generation, so a recycled page can never serve
-/// another session's stale panels; a preempted session that recomputes its
-/// prefix therefore stays bit-identical.
+/// Bounded paged KV-cache with per-session block lists and the decode
+/// sidecar of its pages (see the file comment).
 class KvPool {
  public:
-  explicit KvPool(const KvPoolConfig& config,
-                  core::PanelCacheRegistry* registry = nullptr);
-  ~KvPool();
+  explicit KvPool(const KvPoolConfig& config);
 
   KvPool(const KvPool&) = delete;
   KvPool& operator=(const KvPool&) = delete;
@@ -259,15 +260,18 @@ class KvPool {
 
   /// Drop `id`'s cached tokens beyond `new_tokens` — the speculative
   /// decoder's exact rollback of rejected draft slots.  Trailing blocks
-  /// are unmapped (refcount-aware); a surviving tail page that lost rows
-  /// has its generation bumped and panels invalidated, so the registry can
-  /// never extend a sidecar over rows whose bytes changed.
+  /// are unmapped (refcount-aware); a private surviving tail page that
+  /// lost rows lowers its converted-row count with them, and a shared one
+  /// is copied on the next append.
   void truncate(SessionId id, std::int64_t new_tokens);
 
   /// Exhaustive internal audit: refcounts equal (sessions mapping the
   /// block) + (tree nodes referencing it), the free list is exactly the
-  /// refcount-0 blocks with no duplicates, and session/tree token counts
-  /// are consistent.  Fuzz tests call this after every step.
+  /// refcount-0 blocks with no duplicates, session/tree token counts are
+  /// consistent, and the sidecar is sound: a free block holds no rows and
+  /// has converted none, no block has converted more rows than it holds,
+  /// and no session or tree node covers rows its block does not hold.
+  /// Fuzz tests call this after every step.
   [[nodiscard]] bool check_conservation() const;
 
   [[nodiscard]] const PrefixIndex& prefix_index() const { return prefix_; }
@@ -278,55 +282,47 @@ class KvPool {
   [[nodiscard]] std::span<const half* const> v_blocks(SessionId id) const;
 
   /// Bring the session's sidecar up to date with its half pages: converts
-  /// only rows not already covered by the registry (new pages, or the
-  /// growing suffix of the tail page).  After this call, sidecar() covers
-  /// every cached token of `id`.  The FP32 tier converts 2 bytes per new
-  /// element, the INT8 tier 1 (serve.kv.sidecar_bytes_converted); INT8
-  /// quantizes each token row against its own scale, so the quantize-once
-  /// extension of a filling tail page is exact.  No-op for sessions that
-  /// hold nothing.
+  /// rows [converted, valid) of each of its blocks.  After this call,
+  /// sidecar() covers every cached token of `id`.  The FP32 tier converts
+  /// 2 bytes per new element, the INT8 tier 1
+  /// (serve.kv.sidecar_bytes_converted); INT8 quantizes each token row
+  /// against its own scale, so converting a filling tail page row by row
+  /// equals quantizing it whole.  No-op for sessions that hold nothing.
   void ensure_sidecar(SessionId id);
 
   /// Per-block sidecar views matching k_blocks()/v_blocks(), valid until
-  /// the next ensure_sidecar() or release() for this id.  No pages until
-  /// ensure_sidecar() has run for the session.
+  /// the next append_token(), truncate(), ensure_sidecar() or release() for
+  /// this id.  No pages until ensure_sidecar() has run for the session.
   [[nodiscard]] mha::KvSidecar sidecar(SessionId id) const;
 
   /// Return every block held by `id` to the free list (preemption or
-  /// completion) and invalidate its sidecar panels.  No-op for sessions that
-  /// hold nothing.
+  /// completion).  No-op for sessions that hold nothing.
   void release(SessionId id);
 
  private:
-  /// Shared ownership of one sidecar panel's buffers (codes and scales for
-  /// INT8), so registry eviction cannot free a panel a session still reads.
-  struct PanelPin {
-    std::shared_ptr<const void> data;
-    std::shared_ptr<const void> scales;
-  };
-  struct PagePins {
-    PanelPin k;
-    PanelPin v;
-  };
-
   struct SessionBlocks {
     std::vector<std::int32_t> block_ids;
     std::vector<const half*> k_ptrs;
     std::vector<const half*> v_ptrs;
     std::int64_t tokens = 0;
-    // Decode sidecar state (filled by ensure_sidecar).
-    std::vector<mha::SidecarPage> sidecar;
-    std::vector<PagePins> pins;  ///< keep the sidecar buffers alive
-    /// Leading blocks whose panels are full and pinned — skipped on the
-    /// next ensure (their half content can no longer change while held).
-    std::int64_t converted_blocks = 0;
+    std::vector<mha::SidecarPage> sidecar;  ///< filled by ensure_sidecar
     /// Force copy-on-write on the next partial-tail append even if the
     /// tail's refcount has dropped back to 1.  Set when the session adopts
-    /// (or truncates onto) a shared partial page: the page's registry
-    /// entry may cover more rows than this session has written, so an
-    /// in-place append could be served stale panel rows.  CoW remaps to a
-    /// fresh block (fresh key/generation), which is always safe.
+    /// (or truncates onto) a shared partial page.  The sidecar would stay
+    /// exact without it (an in-place append lowers the page's
+    /// converted-row count); it fixes when such a session allocates, and
+    /// so the schedules built on those allocation decisions.
     bool cow_pending = false;
+  };
+
+  /// Decode sidecar store for one side (K or V): one slot per arena
+  /// element at the pool's precision.  Allocated uninitialised, so pages
+  /// of blocks never converted stay unresident; a row is read only after
+  /// ensure_sidecar() has converted it.
+  struct SidecarStore {
+    std::unique_ptr<float[]> f32;       ///< kFloat32 values
+    std::unique_ptr<std::int8_t[]> i8;  ///< kInt8 codes
+    std::unique_ptr<float[]> scales;    ///< kInt8, one per token row
   };
 
   /// Pop a block from the free list, reclaiming the LRU tree-only subtree
@@ -339,20 +335,13 @@ class KvPool {
   /// Evict the least-recently-used tree subtree whose root block is held
   /// only by the tree.  Returns true if at least one block was freed.
   bool reclaim_lru_prefix();
-  /// Drop one reference to `block`; on zero, recycle it (free list +
-  /// panel invalidation + generation bump).
+  /// Drop one reference to `block`; on zero, recycle it (free list, and
+  /// its written and converted row counts reset).
   void unref_block(std::int32_t block);
-  /// Invalidate the sidecar panel entries of `block` and bump its
-  /// generation.
-  void invalidate_block_panels(std::int32_t block);
-  /// Registry variant of this pool's sidecar panels.
-  [[nodiscard]] std::uint64_t sidecar_variant() const;
-  /// Bring one side of a sidecar page up to its first `valid` elements of
-  /// `src` (registry storage key `storage`, block generation `gen`),
-  /// refreshing `view` and `pin`.  Returns the elements converted.
-  std::int64_t convert_panel(std::uint64_t storage, std::uint64_t gen,
-                             const half* src, std::int64_t valid,
-                             mha::SidecarPanel& view, PanelPin& pin);
+  /// Convert rows [lo, hi) of `block`'s K and V into the sidecar store.
+  void convert_rows(std::int32_t block, std::int64_t lo, std::int64_t hi);
+  /// Sidecar views of `block`'s K and V pages.
+  [[nodiscard]] mha::SidecarPage sidecar_page(std::int32_t block) const;
 
   [[nodiscard]] half* k_base(std::int32_t block) {
     return k_arena_.data() +
@@ -366,21 +355,18 @@ class KvPool {
   }
 
   KvPoolConfig config_;
-  core::PanelCacheRegistry* registry_ = nullptr;
   std::vector<half> k_arena_;
   std::vector<half> v_arena_;
+  SidecarStore k_sidecar_;
+  SidecarStore v_sidecar_;
   /// Free block ids, sorted descending so pop_back() yields the smallest.
   std::vector<std::int32_t> free_;
   std::map<SessionId, SessionBlocks> by_session_;
   std::int64_t peak_used_ = 0;
-  /// Synthetic per-block storage ids for the registry (blocks are carved
-  /// out of one arena, so arena identity alone can't key them).
-  std::vector<std::uint64_t> k_keys_;
-  std::vector<std::uint64_t> v_keys_;
-  /// Per-block generation, bumped when a block is recycled (or a surviving
-  /// tail page loses rows in truncate); used as the registry version so a
-  /// page can never serve stale floats.
-  std::vector<std::uint64_t> block_gen_;
+  /// Per-block rows written since the block left the free list, and the
+  /// leading rows of those whose sidecar is converted (<= written).
+  std::vector<std::int64_t> block_rows_;
+  std::vector<std::int64_t> converted_rows_;
   /// Per-block reference count: sessions mapping the block plus (0 or 1
   /// for) the prefix-tree node freezing it.  0 == on the free list.
   std::vector<std::int32_t> block_refs_;

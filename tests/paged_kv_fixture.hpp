@@ -1,10 +1,15 @@
-// Test fixture: a contiguous (seqs*heads, ctx, d) K/V cache laid out as the
-// KV pages mha::decode_attention_paged reads — per sequence, blocks of
-// (block_tokens, heads, d) halfs — plus the FP32 sidecar of those pages.
+// Test fixtures for paged decode: a contiguous (seqs*heads, ctx, d) K/V
+// cache laid out as the KV pages mha::decode_attention_paged reads — per
+// sequence, blocks of (block_tokens, heads, d) halfs — plus the FP32
+// sidecar of those pages; and a fresh sidecar conversion of existing pages,
+// the reference a KV pool's incrementally maintained sidecar must equal.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "stof/core/packed.hpp"
@@ -73,6 +78,87 @@ class PagedKv {
   std::int64_t ctx_ = 0;
   std::int64_t block_tokens_ = 0;
   std::vector<Seq> seqs_;
+};
+
+/// Exact fresh conversion of the first `tokens` rows of paged K/V blocks
+/// (`row` halfs per token row) at `precision`: FP32 values, or INT8 codes
+/// with one scale per token row.
+class FreshSidecar {
+ public:
+  FreshSidecar(std::span<const half* const> k_blocks,
+               std::span<const half* const> v_blocks, std::int64_t tokens,
+               std::int64_t block_tokens, std::int64_t row,
+               core::PanelPrecision precision)
+      : precision_(precision), tokens_(tokens), block_tokens_(block_tokens),
+        row_(row) {
+    const auto page = static_cast<std::size_t>(block_tokens * row);
+    for (std::size_t p = 0; p < k_blocks.size(); ++p) {
+      for (const half* src : {k_blocks[p], v_blocks[p]}) {
+        const std::span<const half> rows{src, valid_elems(p)};
+        Panel& out = panels_.emplace_back();
+        if (precision == core::PanelPrecision::kInt8) {
+          out.i8.resize(page);
+          out.scales.resize(static_cast<std::size_t>(block_tokens));
+          packed::quantize_halfs(rows, row, out.i8.data(), out.scales.data());
+        } else {
+          out.f32.resize(page);
+          packed::half_to_float(rows, {out.f32.data(), rows.size()});
+        }
+      }
+    }
+    for (std::size_t p = 0; p < k_blocks.size(); ++p) {
+      pages_.push_back({view(panels_[2 * p]), view(panels_[2 * p + 1])});
+    }
+  }
+
+  [[nodiscard]] KvSidecar sidecar() const { return {precision_, pages_}; }
+
+  /// Whether `got` holds exactly this conversion in its first `tokens`
+  /// rows (bit for bit: floats, codes and scales).
+  [[nodiscard]] bool matches(const KvSidecar& got) const {
+    if (got.precision != precision_ || got.pages.size() != pages_.size()) {
+      return false;
+    }
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+      const std::size_t n = valid_elems(p);
+      const std::size_t rows = n / static_cast<std::size_t>(row_);
+      for (const auto& [want, have] :
+           {std::pair{pages_[p].k, got.pages[p].k},
+            std::pair{pages_[p].v, got.pages[p].v}}) {
+        const bool same =
+            precision_ == core::PanelPrecision::kInt8
+                ? std::memcmp(want.i8, have.i8, n) == 0 &&
+                      std::memcmp(want.scales, have.scales,
+                                  rows * sizeof(float)) == 0
+                : std::memcmp(want.f32, have.f32, n * sizeof(float)) == 0;
+        if (!same) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  struct Panel {
+    std::vector<float> f32;
+    std::vector<std::int8_t> i8;
+    std::vector<float> scales;
+  };
+  static SidecarPanel view(const Panel& p) {
+    return {p.f32.data(), p.i8.data(), p.scales.data()};
+  }
+  [[nodiscard]] std::size_t valid_elems(std::size_t page) const {
+    const std::int64_t rows =
+        std::min(block_tokens_,
+                 tokens_ - static_cast<std::int64_t>(page) * block_tokens_);
+    return static_cast<std::size_t>(rows * row_);
+  }
+
+  core::PanelPrecision precision_;
+  std::int64_t tokens_;
+  std::int64_t block_tokens_;
+  std::int64_t row_;
+  std::vector<Panel> panels_;
+  std::vector<SidecarPage> pages_;
 };
 
 }  // namespace stof::mha::testing

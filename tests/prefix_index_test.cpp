@@ -1,12 +1,17 @@
 // Prefix-sharing KV-cache tests: radix-tree publish/match/adopt round
 // trips, copy-on-write immutability of shared pages, refcount-aware
 // release and LRU reclaim of tree-only pages, speculative rollback via
-// truncate, and the pool's conservation audit after every mutation.
+// truncate, the decode sidecar of shared pages, and the pool's
+// conservation audit after every mutation.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <utility>
 #include <vector>
 
+#include "paged_kv_fixture.hpp"
+#include "stof/core/packed.hpp"
+#include "stof/mha/decode.hpp"
 #include "stof/serve/kv_pool.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
@@ -221,8 +226,8 @@ TEST(PrefixIndex, TruncateOntoSharedTailForcesCow) {
 
   // The donor itself rolls back to inside its published partial page (the
   // speculative-decode shape: verify rejected rows 10 and 11).  The page is
-  // shared with the tree, so the rollback must not bump its generation —
-  // instead the donor's next append copies out.
+  // shared with the tree, so the rollback must leave it as it is — instead
+  // the donor's next append copies out.
   pool.truncate(0, 10);
   ASSERT_TRUE(pool.check_conservation());
   EXPECT_EQ(pool.tokens(0), 10);
@@ -268,6 +273,95 @@ TEST(PrefixIndex, RepublishIsIdempotent) {
   ASSERT_TRUE(pool.check_conservation());
   EXPECT_EQ(pool.prefix_blocks(), before);
   EXPECT_EQ(static_cast<std::int64_t>(pool.prefix_index().size()), before);
+}
+
+/// Decodes a fixed query against every cached row of `id` through
+/// `sidecar` (ignored when packed execution is off).
+TensorH decode_all_rows(const KvPool& pool, SessionId id,
+                        const mha::KvSidecar& sidecar) {
+  const KvPoolConfig& c = pool.config();
+  TensorH q(Shape{c.heads, 1, c.head_size});
+  for (std::int64_t e = 0; e < c.heads * c.head_size; ++e) {
+    q.data()[static_cast<std::size_t>(e)] = half(0.25f * float(e + 1));
+  }
+  std::vector<std::int32_t> cols;
+  for (std::int64_t j = 0; j < pool.tokens(id); ++j) {
+    cols.push_back(static_cast<std::int32_t>(j));
+  }
+  const mha::PagedSeq seq{pool.tokens(id), c.block_tokens, pool.k_blocks(id),
+                          pool.v_blocks(id), cols, sidecar};
+  return mha::decode_attention_paged(c.heads, c.head_size, {&seq, 1}, q);
+}
+
+/// `id`'s sidecar equals a fresh conversion of its half rows, and decoding
+/// through it matches decoding through that conversion (and, on FP32, the
+/// scalar path) byte for byte.
+void expect_sidecar_exact(const KvPool& pool, SessionId id) {
+  const KvPoolConfig& c = pool.config();
+  const mha::testing::FreshSidecar fresh(
+      pool.k_blocks(id), pool.v_blocks(id), pool.tokens(id), c.block_tokens,
+      c.heads * c.head_size, c.sidecar_precision);
+  EXPECT_TRUE(fresh.matches(pool.sidecar(id)));
+  const TensorH out = decode_all_rows(pool, id, pool.sidecar(id));
+  const auto same = [&out](const TensorH& other) {
+    return std::memcmp(out.data().data(), other.data().data(),
+                       out.size_bytes()) == 0;
+  };
+  EXPECT_TRUE(same(decode_all_rows(pool, id, fresh.sidecar())));
+  if (c.sidecar_precision == core::PanelPrecision::kFloat32) {
+    ScopedPackedExecution scalar(false);
+    EXPECT_TRUE(same(decode_all_rows(pool, id, {})));
+  }
+}
+
+/// A donor converts more rows of its published partial page than an
+/// adopter holds.  The adopter converts nothing for the pages it adopts,
+/// and its sidecar and decode output stay exact before and after the CoW
+/// of its first append.
+void expect_adopter_sidecar_exact(core::PanelPrecision precision) {
+  telemetry::ScopedTelemetry scoped(true);
+  telemetry::global_registry().reset();
+  const auto sidecar_bytes = [] {
+    return telemetry::global_registry().counter(
+        "serve.kv.sidecar_bytes_converted");
+  };
+  KvPoolConfig cfg = tiny_config();
+  cfg.sidecar_precision = precision;
+  KvPool pool(cfg);
+  const Request donor = template_request(0, 1111);
+  // Page 2 holds 2 template rows and 2 of the donor's private rows, all
+  // converted before the page is published.
+  append_rows(pool, 0, donor.prompt_len, 10.0f);
+  pool.ensure_sidecar(0);
+  pool.publish_prefix(0, donor, 0);
+  const Request r2 = template_request(1, 2222);
+  ASSERT_EQ(pool.adopt_prefix(1, r2, r2.template_len).tokens, 10);
+  ASSERT_TRUE(pool.check_conservation());
+
+  const std::int64_t before = sidecar_bytes();
+  pool.ensure_sidecar(1);
+  EXPECT_EQ(sidecar_bytes(), before);
+  expect_sidecar_exact(pool, 1);
+
+  append_rows(pool, 1, 1, 50.0f);  // CoW of the shared partial page
+  ASSERT_TRUE(pool.check_conservation());
+  ASSERT_NE(pool.k_blocks(1)[2], pool.k_blocks(0)[2]);
+  pool.ensure_sidecar(1);
+  // The private copy converts its 2 copied rows and the new one.
+  const std::int64_t row = cfg.heads * cfg.head_size;
+  const std::int64_t bytes_per_elem =
+      precision == core::PanelPrecision::kInt8 ? 1 : 2;
+  EXPECT_EQ(sidecar_bytes() - before, bytes_per_elem * 2 * 3 * row);
+  expect_sidecar_exact(pool, 1);
+  expect_sidecar_exact(pool, 0);  // the donor's page is untouched
+}
+
+TEST(PrefixIndex, AdopterSidecarExactAcrossCowFp32) {
+  expect_adopter_sidecar_exact(core::PanelPrecision::kFloat32);
+}
+
+TEST(PrefixIndex, AdopterSidecarExactAcrossCowInt8) {
+  expect_adopter_sidecar_exact(core::PanelPrecision::kInt8);
 }
 
 }  // namespace
