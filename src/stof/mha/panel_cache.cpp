@@ -49,7 +49,6 @@ void convert_row_major(const TensorH& t, std::int64_t kv_instances,
 KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
                            std::int64_t kv_instances, std::int64_t seq,
                            std::int64_t head_size, bool transpose_k,
-                           core::PanelCacheRegistry& registry,
                            core::PanelPrecision precision)
     : seq_(seq),
       d_(head_size),
@@ -60,111 +59,78 @@ KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
   STOF_EXPECTS(static_cast<std::int64_t>(k.data().size()) == total &&
                    k.data().size() == v.data().size(),
                "K/V storage must be kv_instances contiguous (seq x d) panels");
-
-  // Panels are keyed on each tensor's storage identity (plus layout
-  // variant) and tagged with its mutation stamp, so an unmodified tensor
-  // converts once across any number of kernel calls while any write forces
-  // a fresh conversion.  A transposed panel's layout depends on the
-  // (seq, d) factorisation, so the variant encodes it; row-major layout is
-  // factorisation-free.
-  const std::uint64_t k_variant =
-      transpose_k ? core::kPanelTransposed |
-                        (static_cast<std::uint64_t>(seq_) << 8) |
-                        (static_cast<std::uint64_t>(d_) << 36)
-                  : core::kPanelRowMajor;
-  bool k_converted = false;
-  bool v_converted = false;
+  const auto n = static_cast<std::size_t>(total);
   if (precision_ == core::PanelPrecision::kInt8) {
     // INT8 tier: one symmetric scale per instance panel, codes in the same
     // layout the float tier would use (K optionally transposed).  The
     // transposed K codes quantize a transposed float staging buffer so the
     // scale still covers exactly one instance's values.
-    k8_ref_ = registry.get_or_convert_int8(
-        {k.storage_id(), k_variant | core::kPanelInt8}, k.version(), total,
-        panel, [&](std::int8_t* codes, float* scales) {
-          if (transpose_k) {
-            std::vector<float> staged(static_cast<std::size_t>(total));
-            convert_transposed(k, kv_instances, seq_, d_, staged.data());
-            packed::quantize_floats(staged.data(), total, panel, codes,
-                                    scales);
-          } else {
-            packed::quantize_halfs(k.data(), panel, codes, scales);
-          }
-        });
-    v8_ref_ = registry.get_or_convert_int8(
-        {v.storage_id(), core::kPanelRowMajor | core::kPanelInt8},
-        v.version(), total, panel, [&](std::int8_t* codes, float* scales) {
-          packed::quantize_halfs(v.data(), panel, codes, scales);
-        });
-    k8_data_ = k8_ref_.data();
-    v8_data_ = v8_ref_.data();
-    k_scales_ = k8_ref_.scale_data();
-    v_scales_ = v8_ref_.scale_data();
-    k_converted = k8_ref_.converted_elems > 0;
-    v_converted = v8_ref_.converted_elems > 0;
+    k8_.resize(n);
+    v8_.resize(n);
+    k_scales_.resize(static_cast<std::size_t>(kv_instances));
+    v_scales_.resize(static_cast<std::size_t>(kv_instances));
+    if (transpose_k) {
+      std::vector<float> staged(n);
+      convert_transposed(k, kv_instances, seq_, d_, staged.data());
+      packed::quantize_floats(staged.data(), total, panel, k8_.data(),
+                              k_scales_.data());
+    } else {
+      packed::quantize_halfs(k.data(), panel, k8_.data(), k_scales_.data());
+    }
+    packed::quantize_halfs(v.data(), panel, v8_.data(), v_scales_.data());
   } else {
-    k_ref_ = registry.get_or_convert(
-        {k.storage_id(), k_variant}, k.version(), total, [&](float* dst) {
-          if (transpose_k) {
-            convert_transposed(k, kv_instances, seq_, d_, dst);
-          } else {
-            convert_row_major(k, kv_instances, panel, dst);
-          }
-        });
-    v_ref_ = registry.get_or_convert(
-        {v.storage_id(), core::kPanelRowMajor}, v.version(), total,
-        [&](float* dst) { convert_row_major(v, kv_instances, panel, dst); });
-    k_data_ = k_ref_.data();
-    v_data_ = v_ref_.data();
-    k_converted = k_ref_.converted_elems > 0;
-    v_converted = v_ref_.converted_elems > 0;
+    k_.resize(n);
+    v_.resize(n);
+    if (transpose_k) {
+      convert_transposed(k, kv_instances, seq_, d_, k_.data());
+    } else {
+      convert_row_major(k, kv_instances, panel, k_.data());
+    }
+    convert_row_major(v, kv_instances, panel, v_.data());
   }
-  // One K and one V panel per instance when conversion actually ran;
-  // registry hits reuse earlier conversions and count nothing.
-  const std::int64_t converted_panels =
-      (k_converted ? kv_instances : 0) + (v_converted ? kv_instances : 0);
-  if (converted_panels > 0) {
-    telemetry::count("exec.mha.panels_converted", converted_panels);
-  }
+  telemetry::count("exec.mha.panels_converted", 2 * kv_instances);
+  telemetry::count(
+      "exec.panelcache.bytes_converted",
+      (precision_ == core::PanelPrecision::kInt8 ? 2 : 4) * total);
 }
 
 const float* KvPanelCache::k_panel(std::int64_t kv) const {
   STOF_EXPECTS(!transposed_k_, "cache holds transposed K panels");
   STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
                "cache holds int8 panels");
-  return k_data_ + kv * seq_ * d_;
+  return k_.data() + kv * seq_ * d_;
 }
 
 const float* KvPanelCache::kt_panel(std::int64_t kv) const {
   STOF_EXPECTS(transposed_k_, "cache holds row-major K panels");
   STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
                "cache holds int8 panels");
-  return k_data_ + kv * seq_ * d_;
+  return k_.data() + kv * seq_ * d_;
 }
 
 const std::int8_t* KvPanelCache::kt_panel_i8(std::int64_t kv) const {
   STOF_EXPECTS(transposed_k_, "cache holds row-major K panels");
   STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
                "cache holds float panels");
-  return k8_data_ + kv * seq_ * d_;
+  return k8_.data() + kv * seq_ * d_;
 }
 
 const std::int8_t* KvPanelCache::v_panel_i8(std::int64_t kv) const {
   STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
                "cache holds float panels");
-  return v8_data_ + kv * seq_ * d_;
+  return v8_.data() + kv * seq_ * d_;
 }
 
 float KvPanelCache::k_scale(std::int64_t kv) const {
   STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
                "cache holds float panels");
-  return k_scales_[kv];
+  return k_scales_[static_cast<std::size_t>(kv)];
 }
 
 float KvPanelCache::v_scale(std::int64_t kv) const {
   STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
                "cache holds float panels");
-  return v_scales_[kv];
+  return v_scales_[static_cast<std::size_t>(kv)];
 }
 
 }  // namespace stof::mha

@@ -13,30 +13,30 @@
 //   * V is always row-major (seq x d): the PV product consumes whole V
 //     rows per key column, unit-stride in both kernels.
 //
-// Panels are fetched from a core::PanelCacheRegistry keyed on the K/V
-// tensors' storage identity and version, so repeated calls over unmodified
-// tensors (bench reps, tuner candidate evaluations) reuse one conversion.
-// The caller picks the registry: the kernels pass the process-wide one,
-// varlen attention a call-local one for its one-step batch tensors.  The
-// cache pins the registry buffers for its own lifetime.
+// The cache owns its panels: it converts them at construction and frees
+// them with itself.  A caller that runs several kernels over the same K/V
+// builds one cache and passes it as `shared_panels` (the varlen wrapper
+// does this for its batch); otherwise each kernel call builds its own.
 //
 // Conversion uses the exact half->float table, so cached panels carry the
 // same values the scalar path reads element-wise — caching cannot perturb
-// the bit-identity contract.  `exec.mha.panels_converted` counts panels
-// actually converted by this construction (registry hits contribute 0).
+// the bit-identity contract.  Each construction counts its panels in
+// `exec.mha.panels_converted` (one K and one V panel per instance) and
+// its destination bytes in `exec.panelcache.bytes_converted` (2 B per
+// element for FP32, 1 B for INT8).
 //
 // INT8 tier (precision == kInt8): panels are quantized instead of
 // converted — symmetric int8 codes with one scale per (seq x d) instance
 // panel, the layout otherwise unchanged.  Codes are a pure function of the
-// half source (quantize-once through the registry), so INT8 attention is
+// half source, quantized once per cache, so INT8 attention is
 // deterministic across ISAs and call schedules; it is not bit-identical
 // to FP32, which is why call sites opt in via BlockwiseParams.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "stof/core/kernels.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/tensor.hpp"
 
 namespace stof::mha {
@@ -46,10 +46,9 @@ class KvPanelCache {
   /// Make the `kv_instances` float panels of `k` and `v` available (each
   /// instance is a contiguous (seq x d) half panel).  `transpose_k`
   /// selects the (d x seq) K layout used by the block-wise QK^T
-  /// micro-kernel.  Panels are fetched from (and kept in) `registry`.
+  /// micro-kernel.
   KvPanelCache(const TensorH& k, const TensorH& v, std::int64_t kv_instances,
                std::int64_t seq, std::int64_t head_size, bool transpose_k,
-               core::PanelCacheRegistry& registry,
                core::PanelPrecision precision =
                    core::PanelPrecision::kFloat32);
 
@@ -67,7 +66,7 @@ class KvPanelCache {
   [[nodiscard]] const float* v_panel(std::int64_t kv) const {
     STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
                  "cache holds int8 panels");
-    return v_data_ + kv * seq_ * d_;
+    return v_.data() + kv * seq_ * d_;
   }
 
   /// INT8 transposed K panel of instance `kv` (layout as kt_panel) and its
@@ -86,17 +85,12 @@ class KvPanelCache {
   std::int64_t d_ = 0;
   bool transposed_k_ = false;
   core::PanelPrecision precision_ = core::PanelPrecision::kFloat32;
-  core::PanelRef k_ref_;  ///< pinned shared buffers
-  core::PanelRef v_ref_;
-  const float* k_data_ = nullptr;
-  const float* v_data_ = nullptr;
-  // INT8 tier state (kInt8 precision only).
-  core::Int8PanelRef k8_ref_;  ///< pinned shared codes and scales
-  core::Int8PanelRef v8_ref_;
-  const std::int8_t* k8_data_ = nullptr;
-  const std::int8_t* v8_data_ = nullptr;
-  const float* k_scales_ = nullptr;
-  const float* v_scales_ = nullptr;
+  std::vector<float> k_;  ///< FP32 panels (kFloat32 only)
+  std::vector<float> v_;
+  std::vector<std::int8_t> k8_;  ///< INT8 codes (kInt8 only)
+  std::vector<std::int8_t> v8_;
+  std::vector<float> k_scales_;  ///< one scale per instance (kInt8 only)
+  std::vector<float> v_scales_;
 };
 
 }  // namespace stof::mha

@@ -20,10 +20,9 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
   const std::int64_t d = dims.head_size;
   const float scale = dims.scale();
 
-  // Packed path: fetch each K/V instance's float panel from the global
-  // cross-call cache (converted at most once per mutation of the tensor;
-  // K/V rows are gathered by every query row that attends to them, so the
-  // panels amortize across the whole instance and across repeated calls).
+  // Packed path: convert each K/V instance's float panel once per call
+  // (K/V rows are gathered by every query row that attends to them, so the
+  // panels amortize across the whole instance).
   // Both panels stay row-major — each gathered column dots one whole K row
   // and consumes one whole V row.  The streaming-softmax arithmetic below
   // is identical in both paths, so the packed results are bit-identical to
@@ -31,8 +30,7 @@ TensorH rowwise_attention(const MhaDims& dims, const TensorH& q,
   const bool use_packed = packed_execution_enabled();
   std::optional<KvPanelCache> panels;
   if (use_packed) {
-    panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/false,
-                   core::global_panel_cache());
+    panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/false);
   }
 
   parallel_for_scratch(0, dims.instances() * n, [&](std::int64_t row,

@@ -46,18 +46,15 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
 
   // Packed mode: convert the whole batch's K/V panels once and hand them
   // to every per-element blockwise call below, instead of reconverting
-  // each element's fresh kb/vb copies.  The panels belong to this call: a
-  // batch's K/V tensors are built for one step and never looked up again,
-  // so they go into a call-local registry, freed on return, rather than
-  // the process-wide one.  Shared panels index kv instances of the
+  // each element's fresh kb/vb copies.  The panels belong to this call and
+  // are freed on return.  Shared panels index kv instances of the
   // *parent* layout, so element b's instances start at b * heads — only
   // valid when every query head has its own K/V instance.
-  core::PanelCacheRegistry call_panels;
   std::optional<KvPanelCache> batch_panels;
   if (packed_execution_enabled() &&
       dims.kv_head_count() == dims.heads) {
     batch_panels.emplace(k, v, dims.kv_instances(), dims.seq_len,
-                         dims.head_size, /*transpose_k=*/true, call_panels,
+                         dims.head_size, /*transpose_k=*/true,
                          params.kv_precision);
   }
 

@@ -5,7 +5,6 @@
 
 #include <optional>
 
-#include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
 #include "stof/ops/elementwise.hpp"
@@ -71,10 +70,12 @@ FunctionalExecutor::FunctionalExecutor(graph::Graph g, mha::MhaDims attn_dims,
     switch (node.kind) {
       case graph::OpKind::kQkvProj:
       case graph::OpKind::kOutProj:
-      case graph::OpKind::kFfnGemm:
-        nw.w = TensorH(Shape{node.inner, node.cols});
-        nw.w.fill_random(rng, -0.08f, 0.08f);
+      case graph::OpKind::kFfnGemm: {
+        TensorH w(Shape{node.inner, node.cols});
+        w.fill_random(rng, -0.08f, 0.08f);
+        nw.w = ops::GemmWeight(std::move(w));
         break;
+      }
       case graph::OpKind::kBias:
         nw.bias = TensorH(Shape{node.cols});
         nw.bias.fill_random(rng, -0.1f, 0.1f);
@@ -89,16 +90,6 @@ FunctionalExecutor::FunctionalExecutor(graph::Graph g, mha::MhaDims attn_dims,
         break;
     }
     weights_.emplace(node.id, std::move(nw));
-  }
-
-  // Weight panels convert exactly once per model load: warm them into the
-  // cross-call registry now so every layer, call, and tuner evaluation
-  // afterwards is a pure cache hit.  Snapshot the mutation stamps so the
-  // debug check in run_op can catch post-load writes.
-  for (const auto& [id, nw] : weights_) {
-    if (nw.w.storage_id() == 0) continue;  // non-GEMM node, no weight
-    weight_versions_.emplace(id, nw.w.version());
-    if (packed_execution_enabled()) ops::warm_weight_panel(nw.w);
   }
 }
 
@@ -185,8 +176,6 @@ void FunctionalExecutor::run_op(std::int64_t id,
       attn_k_ = std::move(k);
       attn_v_ = std::move(v);
       const float scale = attn_dims_.scale();
-      // Const views: reading through the mutable members would bump their
-      // mutation stamps once per element from every worker thread.
       const TensorH& aq = *attn_q_;
       const TensorH& ak = *attn_k_;
       TensorH scores(Shape{attn_dims_.instances() * seq, seq});
@@ -246,7 +235,7 @@ void FunctionalExecutor::run_op(std::int64_t id,
     case graph::OpKind::kPvGemm: {
       STOF_CHECK(attn_v_.has_value(), "PvGemm before ScoreGemm");
       const auto& probs = prev();
-      const TensorH& av = *attn_v_;  // const view; see kScoreGemm
+      const TensorH& av = *attn_v_;
       const std::int64_t heads = attn_dims_.heads;
       const std::int64_t d = attn_dims_.head_size;
       TensorH out(Shape{attn_dims_.batch * seq, hidden_});
@@ -268,12 +257,6 @@ void FunctionalExecutor::run_op(std::int64_t id,
       return;
     }
     default: {  // the row-local operators; fused kinds are rejected there
-#ifndef NDEBUG
-      if (nw.w.numel() > 0) {
-        STOF_CHECK(nw.w.version() == weight_versions_.at(id),
-                   "model weight mutated after load (stale panel cache)");
-      }
-#endif
       const TensorH* skip =
           node.kind == graph::OpKind::kResidualAdd
               ? &values[static_cast<std::size_t>(node.skip_from)]

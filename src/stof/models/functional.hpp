@@ -26,16 +26,17 @@
 #include "stof/masks/mask.hpp"
 #include "stof/mha/attention.hpp"
 #include "stof/models/executor.hpp"
+#include "stof/ops/gemm.hpp"
 #include "stof/sparse/bsr_cache.hpp"
 
 namespace stof::models {
 
 /// Weights of one parameterised node.
 struct NodeWeights {
-  TensorH w;      ///< GEMM weight (inner, cols); empty for non-GEMM nodes
-  TensorH bias;   ///< kBias vector (cols)
-  TensorH gamma;  ///< kLayerNorm scale (cols)
-  TensorH beta;   ///< kLayerNorm shift (cols)
+  ops::GemmWeight w;  ///< GEMM weight (inner, cols); empty for non-GEMM nodes
+  TensorH bias;       ///< kBias vector (cols)
+  TensorH gamma;      ///< kLayerNorm scale (cols)
+  TensorH beta;       ///< kLayerNorm shift (cols)
 };
 
 /// One row-local operator — GEMM, bias, GELU, ReLU, residual add (with
@@ -85,11 +86,6 @@ class FunctionalExecutor {
   std::int64_t hidden_ = 0;
   sparse::BsrCache cache_;
   std::map<std::int64_t, NodeWeights> weights_;
-  /// Mutation stamps of the GEMM weights at load time.  Weights are
-  /// warmed into the cross-call panel registry once per model load; a
-  /// debug-build check catches anything mutating them afterwards (which
-  /// would silently reconvert every call).
-  std::map<std::int64_t, std::uint64_t> weight_versions_;
 
   // Transient per-run state for the detached MHA path.
   std::optional<TensorH> attn_q_, attn_k_, attn_v_;

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "stof/core/check.hpp"
 #include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/parallel/parallel_for.hpp"
 #include "stof/telemetry/telemetry.hpp"
@@ -111,9 +111,9 @@ void run_packed(const GemmView& v, const float* b_pack) {
 
 /// INT8 twin of run_packed: activations quantize per row (scale group =
 /// k) straight from the half panel, the weight codes stream from the
-/// registry's quantize-once INT8 tier with one scale per (k, n) panel,
-/// and the int8 GEMM micro-kernel accumulates in exact int32 before the
-/// FP32 scale/epilogue.  Deterministic across ISAs; not bit-identical to
+/// GemmWeight's INT8 panel with one scale per (k, n) panel, and the int8
+/// GEMM micro-kernel accumulates in exact int32 before the FP32
+/// scale/epilogue.  Deterministic across ISAs; not bit-identical to
 /// the FP32 path.
 void run_packed_int8(const GemmView& v, const std::int8_t* b_codes,
                      const float* b_scales) {
@@ -157,33 +157,6 @@ void run_packed_int8(const GemmView& v, const std::int8_t* b_codes,
   });
 }
 
-/// FP32 B panel via the cross-call registry: weight matrices convert once
-/// per load and every later call (any layer, any tuner evaluation) is a
-/// pure hit; the version tag forces a reconvert if the tensor mutates.
-core::PanelRef fetch_b_panel(const TensorH& b) {
-  return core::global_panel_cache().get_or_convert(
-      {b.storage_id(), core::kPanelRowMajor}, b.version(), b.numel(),
-      [&b](float* dst) {
-        packed::half_to_float(b.data(), {dst, b.data().size()});
-      });
-}
-
-/// INT8 B panel: one scale per (k, n) weight panel (per batch instance
-/// when B is batched), quantized once per storage version.  The key's
-/// kPanelInt8 flag keeps it disjoint from the FP32 panel of the same
-/// storage, so a tensor used at both precisions caches both tiers.
-core::Int8PanelRef fetch_b_panel_int8(const TensorH& b) {
-  const std::int64_t total = b.numel();
-  const std::int64_t panel =
-      b.shape().rank() == 3 ? b.shape()[1] * b.shape()[2] : total;
-  return core::global_panel_cache().get_or_convert_int8(
-      {b.storage_id(), core::kPanelRowMajor | core::kPanelInt8}, b.version(),
-      total, /*scale_group=*/panel,
-      [&b, panel](std::int8_t* codes, float* scales) {
-        packed::quantize_halfs(b.data(), panel, codes, scales);
-      });
-}
-
 GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
                   Epilogue epilogue, const TensorH* bias) {
   STOF_EXPECTS(a.shape().rank() == 3, "A must be (batch, m, k)");
@@ -212,16 +185,12 @@ GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
   return v;
 }
 
-}  // namespace
-
-namespace {
-
 /// Path-taken + simulated-work accounting of one dispatched GEMM call.
 /// MAC counts depend only on the problem shape, so `sim.ops.gemm_macs` is
 /// identical whichever implementation runs; the `exec.ops.*` counters say
 /// which one did.
 void record_gemm_dispatch(const GemmView& v, bool packed,
-                          bool int8_weights = false) {
+                          bool int8_weights) {
   if (!telemetry::enabled()) return;
   telemetry::count("sim.ops.gemm_calls");
   telemetry::count("sim.ops.gemm_macs", v.batch * v.m * v.n * v.k);
@@ -230,48 +199,34 @@ void record_gemm_dispatch(const GemmView& v, bool packed,
   if (int8_weights) telemetry::count("exec.ops.gemm.int8_calls");
 }
 
-/// Shared packed dispatch: FP32 panel or INT8 tier per the policy.
-void run_packed_dispatch(const GemmView& v, const TensorH& b,
-                         core::PanelPrecision weight_precision) {
-  if (weight_precision == core::PanelPrecision::kInt8) {
-    const core::Int8PanelRef b_ref = fetch_b_panel_int8(b);
-    run_packed_int8(v, b_ref.data(), b_ref.scale_data());
+/// Packed kernel over `b`'s panel at its precision.
+void run_packed(const GemmView& v, const GemmWeight& b) {
+  if (b.precision() == core::PanelPrecision::kInt8) {
+    run_packed_int8(v, b.codes(), b.scales());
   } else {
-    const core::PanelRef b_ref = fetch_b_panel(b);
-    run_packed(v, b_ref.data());
+    run_packed(v, b.values());
   }
 }
 
-}  // namespace
-
-void gemm(const TensorH& a, const TensorH& b, TensorH& c, Epilogue epilogue,
-          const TensorH* bias, core::PanelPrecision weight_precision) {
-  const GemmView v = validate(a, b, c, epilogue, bias);
+/// The one dispatch behind gemm() and matmul2d(): accounting, then the
+/// scalar reference or the packed kernel.  A plain-tensor caller passes no
+/// weight; the packed path then builds B's panel for this call.
+void dispatch(const GemmView& v, const TensorH& b, const GemmWeight* weight,
+              core::PanelPrecision precision) {
   const bool packed = packed_execution_enabled();
-  const bool int8_weights =
-      packed && weight_precision == core::PanelPrecision::kInt8;
-  record_gemm_dispatch(v, packed, int8_weights);
+  record_gemm_dispatch(v, packed,
+                       packed && precision == core::PanelPrecision::kInt8);
   telemetry::ScopedTimer timer("wall.ops.gemm_us");
-  if (packed) {
-    run_packed_dispatch(v, b, weight_precision);
-  } else {
+  if (!packed) {
     run_scalar(v);
+    return;
   }
+  std::optional<GemmWeight> call_weight;
+  if (weight == nullptr) weight = &call_weight.emplace(b, precision);
+  run_packed(v, *weight);
 }
 
-void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
-                 Epilogue epilogue, const TensorH* bias) {
-  run_scalar(validate(a, b, c, epilogue, bias));
-}
-
-void gemm_packed(const TensorH& a, const TensorH& b, TensorH& c,
-                 Epilogue epilogue, const TensorH* bias,
-                 core::PanelPrecision weight_precision) {
-  const GemmView v = validate(a, b, c, epilogue, bias);
-  run_packed_dispatch(v, b, weight_precision);
-}
-
-void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
+GemmView validate_2d(const TensorH& x, const TensorH& w, TensorH& y) {
   STOF_EXPECTS(x.shape().rank() == 2 && w.shape().rank() == 2);
   GemmView v;
   v.m = x.shape()[0];
@@ -282,20 +237,59 @@ void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
   v.a = x.data().data();
   v.b = w.data().data();
   v.c = y.data().data();
-  const bool packed = packed_execution_enabled();
-  record_gemm_dispatch(v, packed);
-  telemetry::ScopedTimer timer("wall.ops.gemm_us");
-  if (packed) {
-    const core::PanelRef b_ref = fetch_b_panel(w);
-    run_packed(v, b_ref.data());
-  } else {
-    run_scalar(v);
-  }
+  return v;
 }
 
-void warm_weight_panel(const TensorH& w) {
-  if (w.storage_id() == 0) return;  // empty tensor, nothing to convert
-  fetch_b_panel(w);
+}  // namespace
+
+GemmWeight::GemmWeight(TensorH b, core::PanelPrecision precision)
+    : b_(std::move(b)), precision_(precision) {
+  STOF_EXPECTS(b_.shape().rank() == 2 || b_.shape().rank() == 3,
+               "B must be (k, n) or (batch, k, n)");
+  const auto total = static_cast<std::size_t>(b_.numel());
+  const bool int8 = precision_ == core::PanelPrecision::kInt8;
+  if (int8) {
+    // One scale per (k, n) panel: per batch instance when B is batched.
+    const std::int64_t batch = b_.shape().rank() == 3 ? b_.shape()[0] : 1;
+    codes_.resize(total);
+    scales_.resize(static_cast<std::size_t>(batch));
+    packed::quantize_halfs(b_.data(), b_.numel() / batch, codes_.data(),
+                           scales_.data());
+  } else {
+    values_.resize(total);
+    packed::half_to_float(b_.data(), values_);
+  }
+  telemetry::count("exec.panelcache.bytes_converted",
+                   (int8 ? 1 : 2) * b_.numel());
+}
+
+void gemm(const TensorH& a, const GemmWeight& b, TensorH& c,
+          Epilogue epilogue, const TensorH* bias) {
+  dispatch(validate(a, b.tensor(), c, epilogue, bias), b.tensor(), &b,
+           b.precision());
+}
+
+void gemm(const TensorH& a, const TensorH& b, TensorH& c, Epilogue epilogue,
+          const TensorH* bias, core::PanelPrecision weight_precision) {
+  dispatch(validate(a, b, c, epilogue, bias), b, nullptr, weight_precision);
+}
+
+void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
+                 Epilogue epilogue, const TensorH* bias) {
+  run_scalar(validate(a, b, c, epilogue, bias));
+}
+
+void gemm_packed(const TensorH& a, const GemmWeight& b, TensorH& c,
+                 Epilogue epilogue, const TensorH* bias) {
+  run_packed(validate(a, b.tensor(), c, epilogue, bias), b);
+}
+
+void matmul2d(const TensorH& x, const GemmWeight& w, TensorH& y) {
+  dispatch(validate_2d(x, w.tensor(), y), w.tensor(), &w, w.precision());
+}
+
+void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
+  dispatch(validate_2d(x, w, y), w, nullptr, core::PanelPrecision::kFloat32);
 }
 
 gpusim::KernelCost gemm_cost(const GemmDims& dims, const GemmParams& p,

@@ -41,21 +41,54 @@ struct GemmParams {
 /// Epilogue fused into the GEMM main loop (free at the register level).
 enum class Epilogue { kNone, kBias, kBiasRelu, kBiasGelu };
 
+/// A GEMM B operand ((k, n) or (batch, k, n)) converted once into the
+/// packed engine's format.  It holds the half tensor the scalar path reads
+/// plus its panel at one precision:
+///   * kFloat32 (default) — FP32 values; products are bit-identical to
+///     gemm_scalar.
+///   * kInt8 — symmetric codes with one scale per (k, n) panel.  The main
+///     loop runs int8 dot products with exact int32 accumulation and
+///     quantizes activations per row on the fly.  Results are
+///     deterministic across ISAs and schedules but carry quantization
+///     error, so callers opt in explicitly.  Scalar execution ignores the
+///     tier (it is the FP32 reference).
+/// Models build their weights as GemmWeights at load and keep them for
+/// their lifetime.  Access is const only: a weight's half source and its
+/// panel cannot drift apart after load.  Each construction counts its
+/// panel in `exec.panelcache.bytes_converted` (2 B per element for FP32,
+/// 1 B for INT8).
+class GemmWeight {
+ public:
+  GemmWeight() = default;
+  explicit GemmWeight(TensorH b, core::PanelPrecision precision =
+                                     core::PanelPrecision::kFloat32);
+
+  [[nodiscard]] const TensorH& tensor() const { return b_; }
+  [[nodiscard]] core::PanelPrecision precision() const { return precision_; }
+  /// FP32 panel, row-major like the half source (kFloat32 only).
+  [[nodiscard]] const float* values() const { return values_.data(); }
+  /// INT8 codes and one scale per (k, n) panel (kInt8 only).
+  [[nodiscard]] const std::int8_t* codes() const { return codes_.data(); }
+  [[nodiscard]] const float* scales() const { return scales_.data(); }
+
+ private:
+  TensorH b_;
+  core::PanelPrecision precision_ = core::PanelPrecision::kFloat32;
+  std::vector<float> values_;
+  std::vector<std::int8_t> codes_;
+  std::vector<float> scales_;
+};
+
 /// C = A x B with optional epilogue.
 /// A: (batch, m, k); B: (k, n) shared across the batch or (batch, k, n);
 /// C: (batch, m, n); bias: (n) when the epilogue uses it.
-/// Dispatches to the packed-FP32 engine unless scalar execution was
-/// selected via stof::set_packed_execution(false).
-///
-/// `weight_precision` selects the storage tier of the cached B panel:
-///   * kFloat32 (default) — bit-identical to gemm_scalar.
-///   * kInt8 — the weight panel is quantized once per storage version
-///     (symmetric, one scale per (k, n) panel) and the main loop runs
-///     int8 dot products with exact int32 accumulation; activations are
-///     quantized per row on the fly.  Results are deterministic across
-///     ISAs and schedules but carry quantization error, so call sites
-///     opt in explicitly.  Scalar execution mode ignores the policy (it
-///     is the FP32 reference).
+/// Dispatches to the packed engine, reading B's panel at its precision,
+/// unless scalar execution was selected via stof::set_packed_execution.
+void gemm(const TensorH& a, const GemmWeight& b, TensorH& c,
+          Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
+
+/// Plain-tensor B: the packed path builds B's panel at `weight_precision`
+/// for this call (see GemmWeight).
 void gemm(const TensorH& a, const TensorH& b, TensorH& c,
           Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr,
           core::PanelPrecision weight_precision =
@@ -67,26 +100,18 @@ void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
                  Epilogue epilogue = Epilogue::kNone,
                  const TensorH* bias = nullptr);
 
-/// Packed implementation: A/B panels converted to contiguous FP32 buffers
-/// once, cache-blocked accumulation, panel conversion on store.  With
-/// weight_precision == kInt8 the B panel comes from the registry's INT8
-/// tier instead (see gemm()).
-void gemm_packed(const TensorH& a, const TensorH& b, TensorH& c,
+/// Packed implementation whatever the execution switch says: the A panel
+/// converts per call, B's panel comes from the weight, cache-blocked
+/// accumulation, panel conversion on store.
+void gemm_packed(const TensorH& a, const GemmWeight& b, TensorH& c,
                  Epilogue epilogue = Epilogue::kNone,
-                 const TensorH* bias = nullptr,
-                 core::PanelPrecision weight_precision =
-                     core::PanelPrecision::kFloat32);
+                 const TensorH* bias = nullptr);
 
 /// y = x (r, k) * w (k, n), FP32 accumulate, no epilogue — the projection
 /// matmul of the functional executor.  Same packed/scalar dispatch as
 /// gemm().
+void matmul2d(const TensorH& x, const GemmWeight& w, TensorH& y);
 void matmul2d(const TensorH& x, const TensorH& w, TensorH& y);
-
-/// Pre-convert `w`'s FP32 panel into the cross-call registry (a no-op when
-/// already cached at the tensor's current version).  Model loaders call
-/// this once so the first forward pass pays no conversion; later mutations
-/// are still caught by the version tag.
-void warm_weight_panel(const TensorH& w);
 
 /// Simulated cost of one tiled GEMM launch.
 gpusim::KernelCost gemm_cost(const GemmDims& dims, const GemmParams& params,

@@ -114,8 +114,8 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
   // kPvGemm).  Weights draw from (kWeightSeed, layer, tag) streams, the tag
   // set by the node's place in its layer.  Fan-in scaled weights keep
   // activations O(1) through any depth (LayerNorm re-centers between
-  // layers); B panels convert once, after every weight is drawn, not on
-  // the first step.
+  // layers).  Each GEMM weight converts its panel once, as it is drawn,
+  // and frees it with this runtime.
   const auto per_layer =
       static_cast<std::int64_t>(graph_.size() - 1) / spec_.layers;
   bool in_attention = false;
@@ -138,8 +138,9 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
     };
     models::NodeWeights w;
     const auto gemm = [&](WeightTag tag, WeightTag bias) {
-      w.w = seeded_tensor(Shape{node.inner, node.cols}, stream(tag),
-                          1.0f / std::sqrt(static_cast<float>(node.inner)));
+      w.w = ops::GemmWeight(
+          seeded_tensor(Shape{node.inner, node.cols}, stream(tag),
+                        1.0f / std::sqrt(static_cast<float>(node.inner))));
       bias_tag = bias;
     };
     switch (node.kind) {
@@ -174,7 +175,6 @@ ModelRuntime::ModelRuntime(const ModelSpec& spec, std::int64_t heads,
     }
     head_.push_back(HeadOp{node.id, std::move(w)});
   }
-  for (const HeadOp& op : head_) ops::warm_weight_panel(op.weights.w);
 }
 
 graph::Graph ModelRuntime::build_graph(std::int64_t rows) const {

@@ -190,7 +190,7 @@ TEST(FunctionalExecutor, WeightsExposedAndShaped) {
   for (const auto& node : s.g.nodes()) {
     const auto& w = s.exec.weights(node.id);
     if (node.kind == graph::OpKind::kQkvProj) {
-      EXPECT_EQ(w.w.shape(), (Shape{node.inner, node.cols}));
+      EXPECT_EQ(w.w.tensor().shape(), (Shape{node.inner, node.cols}));
     }
     if (node.kind == graph::OpKind::kLayerNorm) {
       EXPECT_EQ(w.gamma.shape(), (Shape{node.cols}));

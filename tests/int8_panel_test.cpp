@@ -1,8 +1,6 @@
 // INT8 quantized panel tier: round-trip error properties of the symmetric
-// per-group quantizer, the registry's int8 hit/reconvert semantics
-// (including coexistence with float panels of the same storage), the
-// KvPanelCache int8 mode, and the serve KvPool int8 sidecar's
-// quantize-once extension exactness over filling pages.
+// per-group quantizer, the KvPanelCache int8 mode, and the serve KvPool
+// int8 sidecar's quantize-once extension exactness over filling pages.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +8,6 @@
 #include <vector>
 
 #include "stof/core/packed.hpp"
-#include "stof/core/panel_cache_registry.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/core/tensor.hpp"
 #include "stof/mha/panel_cache.hpp"
@@ -102,83 +99,6 @@ TEST(Int8Quantize, QuantizeHalfsMatchesQuantizeFloatsOfConvertedSource) {
                            scales_h.size() * sizeof(float)));
 }
 
-// ---- Registry int8 entries --------------------------------------------------
-
-/// Int8 converter quantizing the whole captured source vector per `group`.
-PanelCacheRegistry::Int8Converter quantizer(const std::vector<float>& src,
-                                            std::int64_t group) {
-  return [&src, group](std::int8_t* codes, float* scales) {
-    packed::quantize_floats(src.data(), static_cast<std::int64_t>(src.size()),
-                            group, codes, scales);
-  };
-}
-
-TEST(PanelCacheRegistryInt8, MissThenHitQuantizesOnce) {
-  PanelCacheRegistry reg;
-  Rng rng(7);
-  std::vector<float> src(64);
-  for (auto& x : src) x = rng.uniform(-1.0f, 1.0f);
-  const PanelKey key{next_storage_id(), kPanelRowMajor | kPanelInt8};
-
-  const Int8PanelRef first =
-      reg.get_or_convert_int8(key, 0, 64, 16, quantizer(src, 16));
-  EXPECT_EQ(first.converted_elems, 64);
-  EXPECT_EQ(reg.stats().bytes_converted, 64);  // 1 byte per int8 element
-  const std::vector<std::int8_t> codes(first.data(), first.data() + 64);
-
-  // Pure hit on the same buffers: the codes are never re-derived, even
-  // when the source has changed under an unchanged version.
-  for (auto& x : src) x = -x;
-  const Int8PanelRef hit =
-      reg.get_or_convert_int8(key, 0, 64, 16, quantizer(src, 16));
-  EXPECT_EQ(hit.converted_elems, 0);
-  EXPECT_EQ(hit.codes.get(), first.codes.get());
-  EXPECT_EQ(0, std::memcmp(codes.data(), hit.data(), codes.size()));
-  EXPECT_EQ(reg.stats().bytes_converted, 64);
-  EXPECT_EQ(reg.stats().hits, 1);
-}
-
-TEST(PanelCacheRegistryInt8, StaleVersionReconverts) {
-  PanelCacheRegistry reg;
-  std::vector<float> src(16, 1.0f);
-  const PanelKey key{next_storage_id(), kPanelRowMajor | kPanelInt8};
-  (void)reg.get_or_convert_int8(key, 0, 16, 16, quantizer(src, 16));
-  src.assign(16, 2.0f);
-  const Int8PanelRef fresh =
-      reg.get_or_convert_int8(key, 1, 16, 16, quantizer(src, 16));
-  EXPECT_EQ(fresh.converted_elems, 16);
-  EXPECT_FLOAT_EQ(fresh.scale_data()[0], 2.0f / 127.0f);
-  EXPECT_EQ(reg.stats().invalidations, 1);
-}
-
-TEST(PanelCacheRegistryInt8, CoexistsWithFloatPanelOfSameStorage) {
-  PanelCacheRegistry reg;
-  Rng rng(8);
-  std::vector<float> src(32);
-  for (auto& x : src) x = rng.uniform(-1.0f, 1.0f);
-  const std::uint64_t storage = next_storage_id();
-
-  const PanelRef f = reg.get_or_convert(
-      {storage, kPanelRowMajor}, 0, 32,
-      [&src](float* dst) { std::copy(src.begin(), src.end(), dst); });
-  const Int8PanelRef q = reg.get_or_convert_int8(
-      {storage, kPanelRowMajor | kPanelInt8}, 0, 32, 32, quantizer(src, 32));
-  EXPECT_EQ(reg.entry_count(), 2u);  // distinct keys, no aliasing
-  EXPECT_EQ(f.data()[5], src[5]);
-  EXPECT_NEAR(q.scale_data()[0] * float(q.data()[5]), src[5],
-              q.scale_data()[0]);
-}
-
-TEST(PanelCacheRegistryInt8, ResidentBytesCoverCodesAndScales) {
-  PanelCacheRegistry reg;
-  std::vector<float> src(64, 1.0f);
-  (void)reg.get_or_convert_int8({next_storage_id(), kPanelInt8}, 0, 64, 16,
-                                quantizer(src, 16));
-  // 64 codes + 4 scales.
-  EXPECT_EQ(reg.resident_bytes(), 64 * sizeof(std::int8_t) +
-                                      4 * sizeof(float));
-}
-
 // ---- KvPanelCache int8 mode -------------------------------------------------
 
 TEST(KvPanelCacheInt8, QuantizesPerInstancePanels) {
@@ -188,9 +108,8 @@ TEST(KvPanelCacheInt8, QuantizesPerInstancePanels) {
   k.fill_random(rng);
   v.fill_random(rng);
 
-  PanelCacheRegistry registry;
   const mha::KvPanelCache cache(k, v, kv, seq, d, /*transpose_k=*/true,
-                                registry, PanelPrecision::kInt8);
+                                PanelPrecision::kInt8);
   EXPECT_EQ(cache.precision(), PanelPrecision::kInt8);
   for (std::int64_t i = 0; i < kv; ++i) {
     const float ks = cache.k_scale(i), vs = cache.v_scale(i);
@@ -213,22 +132,6 @@ TEST(KvPanelCacheInt8, QuantizesPerInstancePanels) {
       }
     }
   }
-}
-
-TEST(KvPanelCacheInt8, RepeatCacheQuantizesOnce) {
-  Rng rng(10);
-  const std::int64_t kv = 1, seq = 16, d = 8;
-  TensorH k(Shape{kv, seq, d}), v(Shape{kv, seq, d});
-  k.fill_random(rng);
-  v.fill_random(rng);
-  PanelCacheRegistry reg;
-  const mha::KvPanelCache a(k, v, kv, seq, d, false, reg,
-                            PanelPrecision::kInt8);
-  const mha::KvPanelCache b(k, v, kv, seq, d, false, reg,
-                            PanelPrecision::kInt8);
-  // Second cache is a pure hit on the same buffers: identical code bytes.
-  EXPECT_EQ(a.v_panel_i8(0), b.v_panel_i8(0));
-  EXPECT_EQ(reg.stats().hits, 2);  // K and V
 }
 
 // ---- Serve KvPool int8 sidecar ----------------------------------------------

@@ -2,20 +2,26 @@
 // reference kernels: panel conversions are exact, and the packed GEMM /
 // block-wise MHA paths reproduce the scalar results bit for bit across
 // epilogues, batched/unbatched B, odd (non-multiple-of-block) shapes, and
-// masked/score-modified attention.
+// masked/score-modified attention.  The owned-panel contract: a held
+// GemmWeight or KvPanelCache converts once, at construction, and repeated
+// calls over it convert nothing and repeat their bytes exactly.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/masks/mask.hpp"
 #include "stof/mha/blockwise_kernel.hpp"
+#include "stof/mha/panel_cache.hpp"
 #include "stof/ops/gemm.hpp"
 #include "stof/sparse/bsr_mask.hpp"
+#include "stof/telemetry/telemetry.hpp"
 
 namespace stof {
 namespace {
@@ -93,6 +99,7 @@ TEST_P(PackedGemm, BitIdenticalToScalarAcrossEpilogues) {
   const TensorH b = batched_b ? random_tensor(Shape{batch, k, n}, 11)
                               : random_tensor(Shape{k, n}, 11);
   const TensorH bias = random_tensor(Shape{n}, 13);
+  const ops::GemmWeight w(b);
 
   for (const Epilogue ep : {Epilogue::kNone, Epilogue::kBias,
                             Epilogue::kBiasRelu, Epilogue::kBiasGelu}) {
@@ -100,7 +107,7 @@ TEST_P(PackedGemm, BitIdenticalToScalarAcrossEpilogues) {
     TensorH c_scalar(Shape{batch, m, n});
     TensorH c_packed(Shape{batch, m, n});
     ops::gemm_scalar(a, b, c_scalar, ep, bp);
-    ops::gemm_packed(a, b, c_packed, ep, bp);
+    ops::gemm_packed(a, w, c_packed, ep, bp);
     EXPECT_TRUE(bits_equal(c_scalar, c_packed))
         << "epilogue " << static_cast<int>(ep);
   }
@@ -150,6 +157,9 @@ TEST(PackedMatmul2d, BitIdenticalToScalar) {
     }
     ops::matmul2d(x, w, y_packed);
     EXPECT_TRUE(bits_equal(y_scalar, y_packed)) << r << "x" << k << "x" << n;
+    TensorH y_held(Shape{r, n});
+    ops::matmul2d(x, ops::GemmWeight(w), y_held);
+    EXPECT_TRUE(bits_equal(y_scalar, y_held)) << r << "x" << k << "x" << n;
   }
 }
 
@@ -202,6 +212,75 @@ INSTANTIATE_TEST_SUITE_P(
         MhaCase{masks::PatternKind::kDense, 48, 16, false},
         MhaCase{masks::PatternKind::kCausal, 64, 32, false},
         MhaCase{masks::PatternKind::kSlidingWindow, 50, 16, true}));
+
+// ---- Owned panels ------------------------------------------------------------
+
+std::int64_t counter(const char* name) {
+  return telemetry::global_registry().counter(name);
+}
+
+// A weight exposes only const access: its half source cannot be written
+// after load, so it can never disagree with the panel converted from it.
+static_assert(std::is_same_v<decltype(std::declval<ops::GemmWeight&>()
+                                          .tensor()),
+                             const TensorH&>);
+
+TEST(OwnedPanels, HeldInt8WeightRepeatsThePlainTensorBytes) {
+  telemetry::ScopedTelemetry on(true);
+  const TensorH a = random_tensor(Shape{2, 9, 40}, 41);
+  const TensorH b = random_tensor(Shape{40, 24}, 42);
+  const TensorH bias = random_tensor(Shape{24}, 43);
+  TensorH c_plain(Shape{2, 9, 24});
+  ops::gemm(a, b, c_plain, Epilogue::kBias, &bias,
+            core::PanelPrecision::kInt8);
+
+  telemetry::global_registry().reset();
+  const ops::GemmWeight w(b, core::PanelPrecision::kInt8);
+  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), b.numel());
+  for (int call = 0; call < 3; ++call) {
+    TensorH c_held(Shape{2, 9, 24});
+    ops::gemm(a, w, c_held, Epilogue::kBias, &bias);
+    EXPECT_TRUE(bits_equal(c_plain, c_held)) << "call " << call;
+  }
+  EXPECT_EQ(counter("exec.ops.gemm.int8_calls"), 3);
+  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), b.numel());
+  telemetry::global_registry().reset();
+}
+
+TEST(OwnedPanels, HeldKvPanelsConvertOnceAcrossBlockwiseCalls) {
+  ASSERT_TRUE(packed_execution_enabled());
+  telemetry::ScopedTelemetry on(true);
+  const mha::MhaDims dims{2, 3, 50, 16};
+  const TensorH q = random_tensor(dims.qkv_shape(), 51);
+  const TensorH k = random_tensor(dims.kv_shape(), 52);
+  const TensorH v = random_tensor(dims.kv_shape(), 53);
+  const auto bsr = sparse::BsrMask::build(
+      masks::MaskSpec{.kind = masks::PatternKind::kBigBird, .seq_len = 50}
+          .build(),
+      16, 16);
+  for (const auto precision :
+       {core::PanelPrecision::kFloat32, core::PanelPrecision::kInt8}) {
+    mha::BlockwiseParams params{16, 16};
+    params.kv_precision = precision;
+    const TensorH fresh =
+        mha::blockwise_attention(dims, q, k, v, bsr, params);
+
+    telemetry::global_registry().reset();
+    const mha::KvPanelCache panels(k, v, dims.kv_instances(), dims.seq_len,
+                                   dims.head_size, /*transpose_k=*/true,
+                                   precision);
+    const std::int64_t converted = counter("exec.mha.panels_converted");
+    EXPECT_EQ(converted, 2 * dims.kv_instances());
+    for (int call = 0; call < 3; ++call) {
+      const TensorH held = mha::blockwise_attention(dims, q, k, v, bsr,
+                                                    params, nullptr, &panels);
+      EXPECT_TRUE(bits_equal(fresh, held))
+          << "precision " << static_cast<int>(precision) << " call " << call;
+    }
+    EXPECT_EQ(counter("exec.mha.panels_converted"), converted);
+  }
+  telemetry::global_registry().reset();
+}
 
 }  // namespace
 }  // namespace stof
