@@ -25,9 +25,11 @@
 //   --out       output JSON path (default: BENCH_tier1.json in the cwd)
 //   --trace     also write a Chrome trace of the simulated kernel launches
 //               with the telemetry registry attached as trace metadata
-//   --tunedb    persistent tuning-DB directory for the e2e layer entry
-//               (default: <tmp>/stof_bench_tunedb); run the bench twice
-//               against the same path to exercise the warm-load path
+//   --tunedb    persistent tuning-DB directory for the e2e layer entry;
+//               run the bench twice against the same path to exercise the
+//               warm-load path (default: a fresh <tmp>/stof_bench_tunedb.<pid>
+//               removed on exit, so every run without it tunes cold and
+//               runs of different builds never share plans)
 //   --baseline  compare against a committed BENCH_tier1.json: prints a
 //               per-entry delta table and exits 3 if any entry's packed_ms
 //               regresses more than the threshold (default 20%) after
@@ -55,10 +57,13 @@
 #include <iostream>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
@@ -1171,6 +1176,28 @@ bool check_baseline(const std::vector<Entry>& entries,
   return pass;
 }
 
+/// The default tuning-DB directory: private to this process, empty at
+/// start, removed with its plans when main returns.
+class ProcessTuneDbDir {
+ public:
+  ProcessTuneDbDir()
+      : path_(std::filesystem::temp_directory_path() /
+              ("stof_bench_tunedb." + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ProcessTuneDbDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ProcessTuneDbDir(const ProcessTuneDbDir&) = delete;
+  ProcessTuneDbDir& operator=(const ProcessTuneDbDir&) = delete;
+
+  [[nodiscard]] std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1178,8 +1205,7 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_tier1.json";
   std::string trace_path;
   std::string baseline_path;
-  std::string tunedb_path =
-      (std::filesystem::temp_directory_path() / "stof_bench_tunedb").string();
+  std::string tunedb_path;
   double threshold_pct = 20.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -1202,6 +1228,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  std::optional<ProcessTuneDbDir> own_tunedb;
+  if (tunedb_path.empty()) tunedb_path = own_tunedb.emplace().path();
 
   std::vector<Entry> entries;
   if (quick) {

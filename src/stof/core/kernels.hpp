@@ -17,10 +17,11 @@
 // compiler cannot fuse them).  kernel_dispatch_test diffs every table
 // entry byte-wise against the scalar table for every ISA the host can run.
 //
-// The INT8 tier quantizes panels to symmetric per-group int8 codes
-// (scale = absmax/127, round-to-nearest-even, clamp to +/-127) and runs
-// dot-product GEMMs in exact int32 accumulation with a float epilogue —
-// int32 sums are associative, so INT8 results are identical across ISAs
+// The INT8 tier backs two opt-in paths: INT8 GEMM weights (ops::GemmWeight)
+// and the serving pool's INT8 decode sidecar.  Both quantize to symmetric
+// per-group int8 codes (scale = absmax/127, round-to-nearest-even, clamp
+// to +/-127) and reduce in exact int32 accumulation with a float epilogue
+// — int32 sums are associative, so INT8 results are identical across ISAs
 // and across any blocking schedule, just not bit-identical to FP32.
 #pragma once
 
@@ -36,7 +37,8 @@ enum class Isa : int { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
 
 [[nodiscard]] const char* isa_name(Isa isa);
 
-/// Storage precision of a cached panel (FP32 sidecar vs quantized INT8).
+/// Storage precision of a converted panel — a GEMM weight or the decode
+/// sidecar (FP32 vs quantized INT8).
 enum class PanelPrecision : int { kFloat32 = 0, kInt8 = 1 };
 
 /// One table of micro-kernel entry points.  All pointers are always
@@ -86,14 +88,11 @@ struct KernelTable {
   /// max(|x[0..n)|) over finite inputs; returns 0 for n == 0.
   float (*abs_max)(const float* x, std::int64_t n);
 
-  // ---- INT8 quantized tier -------------------------------------------------
+  // ---- INT8 quantized tier (GEMM weights, decode sidecar) ------------------
   /// dst[i] = clamp(nearbyint(src[i] * inv_scale), -127, 127); inputs must
   /// be finite with |src*inv_scale| well below 2^31.
   void (*quantize_i8)(const float* src, std::int8_t* dst, std::int64_t n,
                       float inv_scale);
-  /// dst[i] = scale * float(src[i]).
-  void (*dequantize_i8)(const std::int8_t* src, float* dst, std::int64_t n,
-                        float scale);
   /// Exact int32 dot product.
   std::int32_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b,
                          std::int64_t n);

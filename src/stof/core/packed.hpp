@@ -96,20 +96,17 @@ void sgemm_accumulate_ld(const float* a, std::int64_t lda, const float* b,
 
 // ---- INT8 quantized panel tier ---------------------------------------------
 //
-// Symmetric per-group quantization: scale = absmax/127 (with a degenerate
-// all-zero fallback for vanishing groups, see core::quant_params), codes
-// rounded to nearest-even and clamped to +/-127.  Codes and scales are a
-// pure function of the source values — identical across ISAs, schedules,
-// and re-conversions — so INT8 execution stays deterministic even though
-// it is not bit-identical to FP32.
+// Symmetric per-group quantization for INT8 GEMM weights and the decode
+// sidecar: scale = absmax/127 (with a degenerate all-zero fallback for
+// vanishing groups, see core::quant_params), codes rounded to nearest-even
+// and clamped to +/-127.  Codes and scales are a pure function of the
+// source values — identical across ISAs, schedules, and re-conversions —
+// so INT8 execution stays deterministic even though it is not
+// bit-identical to FP32.
 
-/// Quantize a float panel with one scale per `group` elements; `count`
-/// must be a multiple of `group`.  dst has count codes, scales has
-/// count/group entries.
-void quantize_floats(const float* src, std::int64_t count, std::int64_t group,
-                     std::int8_t* dst, float* scales);
-
-/// Same, sourcing from a half panel (converted through the exact table).
+/// Quantize a half panel (converted through the exact table) with one
+/// scale per `group` elements; the element count must be a multiple of
+/// `group`.  dst has one code per element, scales has count/group entries.
 void quantize_halfs(std::span<const half> src, std::int64_t group,
                     std::int8_t* dst, float* scales);
 

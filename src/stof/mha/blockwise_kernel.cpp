@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -137,20 +136,17 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
   std::optional<KvPanelCache> panels;
   if (use_packed) {
     if (panel_cache == nullptr) {
-      panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/true,
-                     params.kv_precision);
+      panels.emplace(k, v, dims.kv_instances(), n, d, /*transpose_k=*/true);
       panel_cache = &*panels;
       kv_off = 0;
     } else {
       STOF_EXPECTS(panel_cache->seq() == n && panel_cache->head_size() == d,
                    "shared panels must match the problem geometry");
-      STOF_EXPECTS(panel_cache->precision() == params.kv_precision,
-                   "shared panels must match the requested precision");
-      STOF_EXPECTS(kv_off >= 0, "kv offset must be non-negative");
+      STOF_EXPECTS(kv_off >= 0 && kv_off + dims.kv_instances() <=
+                                      panel_cache->instances(),
+                   "shared panels must cover this problem's kv instances");
     }
   }
-  const bool int8_kv =
-      use_packed && params.kv_precision == core::PanelPrecision::kInt8;
 
   const auto& load_ptr = mask.load_row_ptr();
   const auto& load_idx = mask.load_col_idx();
@@ -169,8 +165,8 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
     if (use_packed) {
       // ---- Packed fast path: micro-kernels over cached FP32 panels. ----
       const core::KernelTable& ktab = core::kernels();
-      const float* kt = int8_kv ? nullptr : panel_cache->kt_panel(kv_off + kv);
-      const float* vf = int8_kv ? nullptr : panel_cache->v_panel(kv_off + kv);
+      const float* kt = panel_cache->kt_panel(kv_off + kv);
+      const float* vf = panel_cache->v_panel(kv_off + kv);
       auto q_tile = arena.alloc(rows * d);
       packed::half_to_float(
           q.data().subspan(static_cast<std::size_t>((bh * n + row_lo) * d),
@@ -178,31 +174,6 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
           q_tile);
       auto pv = arena.alloc(rows * d);
       auto corr = arena.alloc(rows);
-      // INT8 tier state: quantized Q rows (one scale per row), the block's
-      // K/V codes, and a per-block weight-tile quantization buffer.  The
-      // int8 code buffers live in the float arena via the always-legal
-      // signed-char aliasing of its storage.
-      const std::int8_t* k8t = nullptr;
-      const std::int8_t* v8 = nullptr;
-      float k_sc = 0.0f;
-      float v_sc = 0.0f;
-      std::int8_t* q8 = nullptr;
-      std::int8_t* w8 = nullptr;
-      std::span<float> q_scales, w_scales;
-      if (int8_kv) {
-        k8t = panel_cache->kt_panel_i8(kv_off + kv);
-        v8 = panel_cache->v_panel_i8(kv_off + kv);
-        k_sc = panel_cache->k_scale(kv_off + kv);
-        v_sc = panel_cache->v_scale(kv_off + kv);
-        q8 = reinterpret_cast<std::int8_t*>(
-            arena.alloc((rows * d + 3) / 4).data());
-        q_scales = arena.alloc(rows);
-        packed::quantize_floats(q_tile.data(), rows * d, d, q8,
-                                q_scales.data());
-        w8 = reinterpret_cast<std::int8_t*>(
-            arena.alloc((rows * bn + 3) / 4).data());
-        w_scales = arena.alloc(rows);
-      }
       std::int64_t full_fast_blocks = 0;
 
       for (std::int64_t it = load_ptr[static_cast<std::size_t>(bi)];
@@ -224,14 +195,8 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
         for (std::int64_t r = 0; r < rows; ++r) {
           std::fill_n(st.s.data() + r * bn, cols, 0.0f);
         }
-        if (int8_kv) {
-          core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-          ktab.sgemm_i8_accumulate_ld(q8, d, k8t + col_lo, n, st.s.data(), bn,
-                                      rows, d, cols, q_scales.data(), k_sc);
-        } else {
-          packed::sgemm_accumulate_ld(q_tile.data(), d, kt + col_lo, n,
-                                      st.s.data(), bn, rows, d, cols);
-        }
+        packed::sgemm_accumulate_ld(q_tile.data(), d, kt + col_lo, n,
+                                    st.s.data(), bn, rows, d, cols);
         const bool full_fast = bitmap == nullptr && !score_mod;
         if (full_fast) {
           // Full-block fast path: plain unit-stride scaling, no per-element
@@ -312,29 +277,8 @@ TensorH blockwise_attention(const MhaDims& dims, const TensorH& q,
         // Fully masked rows still hold raw -inf scores; their products are
         // computed and discarded at the merge below.
         std::fill_n(pv.data(), rows * d, 0.0f);
-        if (int8_kv) {
-          // Quantize the weight tile per row (valid cols only — the tail of
-          // each bn-row is stale scratch).  Fully masked rows still hold
-          // raw -inf scores; their PV contribution is discarded at the
-          // merge below, so emit zero codes instead of quantizing -inf.
-          for (std::int64_t r = 0; r < rows; ++r) {
-            if (corr[static_cast<std::size_t>(r)] < 0.0f) {
-              w_scales[static_cast<std::size_t>(r)] = 0.0f;
-              std::memset(w8 + r * bn, 0, static_cast<std::size_t>(cols));
-              continue;
-            }
-            const float* s_row = st.s.data() + r * bn;
-            const auto qp = core::quant_params(ktab.abs_max(s_row, cols));
-            w_scales[static_cast<std::size_t>(r)] = qp.scale;
-            ktab.quantize_i8(s_row, w8 + r * bn, cols, qp.inv_scale);
-          }
-          core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-          ktab.sgemm_i8_accumulate_ld(w8, bn, v8 + col_lo * d, d, pv.data(),
-                                      d, rows, cols, d, w_scales.data(), v_sc);
-        } else {
-          packed::sgemm_accumulate_ld(st.s.data(), bn, vf + col_lo * d, d,
-                                      pv.data(), d, rows, cols, d);
-        }
+        packed::sgemm_accumulate_ld(st.s.data(), bn, vf + col_lo * d, d,
+                                    pv.data(), d, rows, cols, d);
         for (std::int64_t r = 0; r < rows; ++r) {
           const float c_r = corr[static_cast<std::size_t>(r)];
           if (c_r < 0.0f) continue;

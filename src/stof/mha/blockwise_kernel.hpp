@@ -18,7 +18,6 @@
 
 #include <functional>
 
-#include "stof/core/kernels.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
 #include "stof/masks/mask.hpp"
@@ -38,12 +37,6 @@ struct BlockwiseParams {
   /// Ablation: ignore the full/part classification and load + apply a
   /// bitmap for every valid block (as a coarse block-mask kernel would).
   bool treat_full_as_part = false;
-  /// Storage tier of the cached K/V panels (packed mode only).  kInt8 runs
-  /// both tile GEMMs over quantized panels with exact int32 accumulation —
-  /// deterministic, roughly half the panel-conversion traffic, but not
-  /// bit-identical to FP32, so call sites opt in explicitly.  Scalar
-  /// execution ignores the field (it is the FP32 reference).
-  core::PanelPrecision kv_precision = core::PanelPrecision::kFloat32;
 
   void validate() const;
 
@@ -70,11 +63,16 @@ class KvPanelCache;
 /// blocks, full/part paths as in the paper.  The BSR block sizes must match
 /// `params`.
 ///
+/// The packed path reads K/V as FP32 panels converted exactly from the FP16
+/// inputs and accumulates in FP32 (the paper's FP16 storage / FP32
+/// accumulate); there is no other prefill precision.
+///
 /// `shared_panels` (packed mode only) supplies pre-converted transposed-K /
-/// row-major-V float panels covering this problem's K/V instances starting
-/// at `shared_kv_offset` — the varlen wrapper passes one whole-batch panel
-/// cache so its per-element sub-calls stop duplicating conversions.  When
-/// null, the kernel converts its own panels for this call.
+/// row-major-V float panels covering this problem's K/V instances
+/// [shared_kv_offset, shared_kv_offset + dims.kv_instances()) — the varlen
+/// wrapper passes one whole-batch panel cache so its per-element sub-calls
+/// stop duplicating conversions; panels that do not cover that range are
+/// rejected.  When null, the kernel converts its own panels for this call.
 ///
 /// `q_block_begin`/`q_block_end` restrict execution to the query block-rows
 /// in [q_block_begin, q_block_end) (`q_block_end < 0` means every row).

@@ -48,89 +48,46 @@ void convert_row_major(const TensorH& t, std::int64_t kv_instances,
 
 KvPanelCache::KvPanelCache(const TensorH& k, const TensorH& v,
                            std::int64_t kv_instances, std::int64_t seq,
-                           std::int64_t head_size, bool transpose_k,
-                           core::PanelPrecision precision)
-    : seq_(seq),
+                           std::int64_t head_size, bool transpose_k)
+    : instances_(kv_instances),
+      seq_(seq),
       d_(head_size),
-      transposed_k_(transpose_k),
-      precision_(precision) {
+      transposed_k_(transpose_k) {
   const std::int64_t panel = seq_ * d_;
   const std::int64_t total = kv_instances * panel;
   STOF_EXPECTS(static_cast<std::int64_t>(k.data().size()) == total &&
                    k.data().size() == v.data().size(),
                "K/V storage must be kv_instances contiguous (seq x d) panels");
   const auto n = static_cast<std::size_t>(total);
-  if (precision_ == core::PanelPrecision::kInt8) {
-    // INT8 tier: one symmetric scale per instance panel, codes in the same
-    // layout the float tier would use (K optionally transposed).  The
-    // transposed K codes quantize a transposed float staging buffer so the
-    // scale still covers exactly one instance's values.
-    k8_.resize(n);
-    v8_.resize(n);
-    k_scales_.resize(static_cast<std::size_t>(kv_instances));
-    v_scales_.resize(static_cast<std::size_t>(kv_instances));
-    if (transpose_k) {
-      std::vector<float> staged(n);
-      convert_transposed(k, kv_instances, seq_, d_, staged.data());
-      packed::quantize_floats(staged.data(), total, panel, k8_.data(),
-                              k_scales_.data());
-    } else {
-      packed::quantize_halfs(k.data(), panel, k8_.data(), k_scales_.data());
-    }
-    packed::quantize_halfs(v.data(), panel, v8_.data(), v_scales_.data());
+  k_.resize(n);
+  v_.resize(n);
+  if (transpose_k) {
+    convert_transposed(k, kv_instances, seq_, d_, k_.data());
   } else {
-    k_.resize(n);
-    v_.resize(n);
-    if (transpose_k) {
-      convert_transposed(k, kv_instances, seq_, d_, k_.data());
-    } else {
-      convert_row_major(k, kv_instances, panel, k_.data());
-    }
-    convert_row_major(v, kv_instances, panel, v_.data());
+    convert_row_major(k, kv_instances, panel, k_.data());
   }
+  convert_row_major(v, kv_instances, panel, v_.data());
   telemetry::count("exec.mha.panels_converted", 2 * kv_instances);
-  telemetry::count(
-      "exec.panelcache.bytes_converted",
-      (precision_ == core::PanelPrecision::kInt8 ? 2 : 4) * total);
+  telemetry::count("exec.panelcache.bytes_converted", 4 * total);
+}
+
+std::size_t KvPanelCache::panel_offset(std::int64_t kv) const {
+  STOF_EXPECTS(kv >= 0 && kv < instances_, "kv instance out of range");
+  return static_cast<std::size_t>(kv * seq_ * d_);
 }
 
 const float* KvPanelCache::k_panel(std::int64_t kv) const {
   STOF_EXPECTS(!transposed_k_, "cache holds transposed K panels");
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
-               "cache holds int8 panels");
-  return k_.data() + kv * seq_ * d_;
+  return k_.data() + panel_offset(kv);
 }
 
 const float* KvPanelCache::kt_panel(std::int64_t kv) const {
   STOF_EXPECTS(transposed_k_, "cache holds row-major K panels");
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
-               "cache holds int8 panels");
-  return k_.data() + kv * seq_ * d_;
+  return k_.data() + panel_offset(kv);
 }
 
-const std::int8_t* KvPanelCache::kt_panel_i8(std::int64_t kv) const {
-  STOF_EXPECTS(transposed_k_, "cache holds row-major K panels");
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
-               "cache holds float panels");
-  return k8_.data() + kv * seq_ * d_;
-}
-
-const std::int8_t* KvPanelCache::v_panel_i8(std::int64_t kv) const {
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
-               "cache holds float panels");
-  return v8_.data() + kv * seq_ * d_;
-}
-
-float KvPanelCache::k_scale(std::int64_t kv) const {
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
-               "cache holds float panels");
-  return k_scales_[static_cast<std::size_t>(kv)];
-}
-
-float KvPanelCache::v_scale(std::int64_t kv) const {
-  STOF_EXPECTS(precision_ == core::PanelPrecision::kInt8,
-               "cache holds float panels");
-  return v_scales_[static_cast<std::size_t>(kv)];
+const float* KvPanelCache::v_panel(std::int64_t kv) const {
+  return v_.data() + panel_offset(kv);
 }
 
 }  // namespace stof::mha

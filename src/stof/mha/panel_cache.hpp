@@ -20,23 +20,18 @@
 //
 // Conversion uses the exact half->float table, so cached panels carry the
 // same values the scalar path reads element-wise — caching cannot perturb
-// the bit-identity contract.  Each construction counts its panels in
+// the bit-identity contract.  Panels are always FP32: prefill attention
+// has one precision (quantized K/V lives only in the serving pool's decode
+// sidecar).  Each construction counts its panels in
 // `exec.mha.panels_converted` (one K and one V panel per instance) and
 // its destination bytes in `exec.panelcache.bytes_converted` (2 B per
-// element for FP32, 1 B for INT8).
-//
-// INT8 tier (precision == kInt8): panels are quantized instead of
-// converted — symmetric int8 codes with one scale per (seq x d) instance
-// panel, the layout otherwise unchanged.  Codes are a pure function of the
-// half source, quantized once per cache, so INT8 attention is
-// deterministic across ISAs and call schedules; it is not bit-identical
-// to FP32, which is why call sites opt in via BlockwiseParams.
+// element).  Every accessor checks its instance
+// index against the instance count the cache was built for.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "stof/core/kernels.hpp"
 #include "stof/core/tensor.hpp"
 
 namespace stof::mha {
@@ -48,13 +43,7 @@ class KvPanelCache {
   /// selects the (d x seq) K layout used by the block-wise QK^T
   /// micro-kernel.
   KvPanelCache(const TensorH& k, const TensorH& v, std::int64_t kv_instances,
-               std::int64_t seq, std::int64_t head_size, bool transpose_k,
-               core::PanelPrecision precision =
-                   core::PanelPrecision::kFloat32);
-
-  /// Storage tier this cache was built at.  Float accessors require
-  /// kFloat32; int8 accessors require kInt8.
-  [[nodiscard]] core::PanelPrecision precision() const { return precision_; }
+               std::int64_t seq, std::int64_t head_size, bool transpose_k);
 
   /// K panel of instance `kv` in row-major (seq x d) layout.
   /// Precondition: constructed with transpose_k == false.
@@ -63,34 +52,22 @@ class KvPanelCache {
   /// key columns.  Precondition: constructed with transpose_k == true.
   [[nodiscard]] const float* kt_panel(std::int64_t kv) const;
   /// V panel of instance `kv`: seq x d, row-major.
-  [[nodiscard]] const float* v_panel(std::int64_t kv) const {
-    STOF_EXPECTS(precision_ == core::PanelPrecision::kFloat32,
-                 "cache holds int8 panels");
-    return v_.data() + kv * seq_ * d_;
-  }
+  [[nodiscard]] const float* v_panel(std::int64_t kv) const;
 
-  /// INT8 transposed K panel of instance `kv` (layout as kt_panel) and its
-  /// per-instance scale.  Precondition: kInt8 precision, transpose_k.
-  [[nodiscard]] const std::int8_t* kt_panel_i8(std::int64_t kv) const;
-  /// INT8 V panel of instance `kv` (seq x d, row-major) and its scale.
-  [[nodiscard]] const std::int8_t* v_panel_i8(std::int64_t kv) const;
-  [[nodiscard]] float k_scale(std::int64_t kv) const;
-  [[nodiscard]] float v_scale(std::int64_t kv) const;
-
+  [[nodiscard]] std::int64_t instances() const { return instances_; }
   [[nodiscard]] std::int64_t seq() const { return seq_; }
   [[nodiscard]] std::int64_t head_size() const { return d_; }
 
  private:
+  /// Offset of instance `kv`'s panel; checks 0 <= kv < instances().
+  [[nodiscard]] std::size_t panel_offset(std::int64_t kv) const;
+
+  std::int64_t instances_ = 0;
   std::int64_t seq_ = 0;
   std::int64_t d_ = 0;
   bool transposed_k_ = false;
-  core::PanelPrecision precision_ = core::PanelPrecision::kFloat32;
-  std::vector<float> k_;  ///< FP32 panels (kFloat32 only)
+  std::vector<float> k_;
   std::vector<float> v_;
-  std::vector<std::int8_t> k8_;  ///< INT8 codes (kInt8 only)
-  std::vector<std::int8_t> v8_;
-  std::vector<float> k_scales_;  ///< one scale per instance (kInt8 only)
-  std::vector<float> v_scales_;
 };
 
 }  // namespace stof::mha

@@ -54,8 +54,7 @@ TensorH varlen_attention(const MhaDims& dims, const TensorH& q,
   if (packed_execution_enabled() &&
       dims.kv_head_count() == dims.heads) {
     batch_panels.emplace(k, v, dims.kv_instances(), dims.seq_len,
-                         dims.head_size, /*transpose_k=*/true,
-                         params.kv_precision);
+                         dims.head_size, /*transpose_k=*/true);
   }
 
   // One single-element attention per batch entry against its own BSR.  The

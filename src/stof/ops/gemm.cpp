@@ -210,19 +210,20 @@ void run_packed(const GemmView& v, const GemmWeight& b) {
 
 /// The one dispatch behind gemm() and matmul2d(): accounting, then the
 /// scalar reference or the packed kernel.  A plain-tensor caller passes no
-/// weight; the packed path then builds B's panel for this call.
-void dispatch(const GemmView& v, const TensorH& b, const GemmWeight* weight,
-              core::PanelPrecision precision) {
+/// weight; the packed path then builds B's FP32 panel for this call.
+void dispatch(const GemmView& v, const TensorH& b, const GemmWeight* weight) {
   const bool packed = packed_execution_enabled();
-  record_gemm_dispatch(v, packed,
-                       packed && precision == core::PanelPrecision::kInt8);
+  record_gemm_dispatch(
+      v, packed,
+      packed && weight != nullptr &&
+          weight->precision() == core::PanelPrecision::kInt8);
   telemetry::ScopedTimer timer("wall.ops.gemm_us");
   if (!packed) {
     run_scalar(v);
     return;
   }
   std::optional<GemmWeight> call_weight;
-  if (weight == nullptr) weight = &call_weight.emplace(b, precision);
+  if (weight == nullptr) weight = &call_weight.emplace(b);
   run_packed(v, *weight);
 }
 
@@ -265,13 +266,12 @@ GemmWeight::GemmWeight(TensorH b, core::PanelPrecision precision)
 
 void gemm(const TensorH& a, const GemmWeight& b, TensorH& c,
           Epilogue epilogue, const TensorH* bias) {
-  dispatch(validate(a, b.tensor(), c, epilogue, bias), b.tensor(), &b,
-           b.precision());
+  dispatch(validate(a, b.tensor(), c, epilogue, bias), b.tensor(), &b);
 }
 
 void gemm(const TensorH& a, const TensorH& b, TensorH& c, Epilogue epilogue,
-          const TensorH* bias, core::PanelPrecision weight_precision) {
-  dispatch(validate(a, b, c, epilogue, bias), b, nullptr, weight_precision);
+          const TensorH* bias) {
+  dispatch(validate(a, b, c, epilogue, bias), b, nullptr);
 }
 
 void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
@@ -285,11 +285,11 @@ void gemm_packed(const TensorH& a, const GemmWeight& b, TensorH& c,
 }
 
 void matmul2d(const TensorH& x, const GemmWeight& w, TensorH& y) {
-  dispatch(validate_2d(x, w.tensor(), y), w.tensor(), &w, w.precision());
+  dispatch(validate_2d(x, w.tensor(), y), w.tensor(), &w);
 }
 
 void matmul2d(const TensorH& x, const TensorH& w, TensorH& y) {
-  dispatch(validate_2d(x, w, y), w, nullptr, core::PanelPrecision::kFloat32);
+  dispatch(validate_2d(x, w, y), w, nullptr);
 }
 
 gpusim::KernelCost gemm_cost(const GemmDims& dims, const GemmParams& p,

@@ -87,12 +87,10 @@ class GemmWeight {
 void gemm(const TensorH& a, const GemmWeight& b, TensorH& c,
           Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
 
-/// Plain-tensor B: the packed path builds B's panel at `weight_precision`
-/// for this call (see GemmWeight).
+/// Plain-tensor B: the packed path builds B's FP32 panel for this call.
+/// INT8 weights are selected only through GemmWeight.
 void gemm(const TensorH& a, const TensorH& b, TensorH& c,
-          Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr,
-          core::PanelPrecision weight_precision =
-              core::PanelPrecision::kFloat32);
+          Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
 
 /// Scalar reference implementation: per-element FP32 accumulation over row
 /// pointers.  The packed path must match it bit for bit.

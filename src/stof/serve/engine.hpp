@@ -79,8 +79,9 @@ struct EngineConfig {
   /// kInt8 reads quantized KV pages (one scale per token row):
   /// deterministic — digests still match across scheduling orders — but
   /// not bit-identical to FP32, and the per-step conversion traffic
-  /// roughly halves.  Prefill always runs FP32 (its outputs feed the
-  /// bit-exact digest contract directly).
+  /// roughly halves.  This is the only K/V precision knob: prefill
+  /// attention has no INT8 form and always reads FP32 panels (its outputs
+  /// feed the bit-exact digest contract directly).
   core::PanelPrecision kv_precision = core::PanelPrecision::kFloat32;
   /// Draft-and-verify speculative decoding: > 0 proposes that many draft
   /// tokens per decode round through a cheap draft pass (one head over a

@@ -1,21 +1,39 @@
 // INT8 quantized panel tier: round-trip error properties of the symmetric
-// per-group quantizer, the KvPanelCache int8 mode, and the serve KvPool
-// int8 sidecar's quantize-once extension exactness over filling pages.
+// per-group quantizer (core::quant_params + KernelTable::quantize_i8, the
+// path decode's query quantization takes), and the serve KvPool int8
+// sidecar's quantize-once extension exactness over filling pages.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/core/rng.hpp"
 #include "stof/core/tensor.hpp"
-#include "stof/mha/panel_cache.hpp"
 #include "stof/serve/kv_pool.hpp"
 #include "stof/telemetry/telemetry.hpp"
 
 namespace stof::core {
 namespace {
+
+/// Quantize `src` with one scale per `group` elements the way decode
+/// quantizes its query rows: scale from the group's absmax, then codes.
+void quantize_groups(const std::vector<float>& src, std::int64_t group,
+                     std::vector<std::int8_t>& codes,
+                     std::vector<float>& scales) {
+  const KernelTable& kt = kernels();
+  const auto count = static_cast<std::int64_t>(src.size());
+  codes.resize(src.size());
+  scales.resize(static_cast<std::size_t>(count / group));
+  for (std::int64_t g = 0; g < count / group; ++g) {
+    const float* s = src.data() + g * group;
+    const auto params = quant_params(kt.abs_max(s, group));
+    scales[static_cast<std::size_t>(g)] = params.scale;
+    kt.quantize_i8(s, codes.data() + g * group, group, params.inv_scale);
+  }
+}
 
 /// Per-group round-trip property: every element must land within half a
 /// quantization step of its code (plus a denormal-absorbing epsilon).
@@ -23,10 +41,9 @@ void expect_round_trip_bound(const std::vector<float>& src,
                              std::int64_t group) {
   ASSERT_EQ(src.size() % static_cast<std::size_t>(group), 0u);
   const auto count = static_cast<std::int64_t>(src.size());
-  std::vector<std::int8_t> codes(src.size());
-  std::vector<float> scales(src.size() / static_cast<std::size_t>(group));
-  packed::quantize_floats(src.data(), count, group, codes.data(),
-                          scales.data());
+  std::vector<std::int8_t> codes;
+  std::vector<float> scales;
+  quantize_groups(src, group, codes, scales);
   for (std::int64_t g = 0; g < count / group; ++g) {
     const float scale = scales[static_cast<std::size_t>(g)];
     ASSERT_TRUE(std::isfinite(scale) && scale > 0.0f) << "group " << g;
@@ -71,15 +88,15 @@ TEST(Int8Quantize, RoundTripBoundOnConstantAndZeroInputs) {
 }
 
 TEST(Int8Quantize, AbsMaxElementGetsFullCode) {
-  std::vector<float> src = {0.1f, -2.0f, 0.5f, 1.0f};
-  std::vector<std::int8_t> codes(4);
-  std::vector<float> scales(1);
-  packed::quantize_floats(src.data(), 4, 4, codes.data(), scales.data());
+  const std::vector<float> src = {0.1f, -2.0f, 0.5f, 1.0f};
+  std::vector<std::int8_t> codes;
+  std::vector<float> scales;
+  quantize_groups(src, 4, codes, scales);
   EXPECT_FLOAT_EQ(scales[0], 2.0f / 127.0f);
   EXPECT_EQ(codes[1], -127);
 }
 
-TEST(Int8Quantize, QuantizeHalfsMatchesQuantizeFloatsOfConvertedSource) {
+TEST(Int8Quantize, QuantizeHalfsMatchesDecodeQuantizationOfConvertedSource) {
   Rng rng(44);
   const std::int64_t group = 32, count = group * 7;
   std::vector<half> src_h(static_cast<std::size_t>(count));
@@ -88,50 +105,14 @@ TEST(Int8Quantize, QuantizeHalfsMatchesQuantizeFloatsOfConvertedSource) {
     src_h[i] = half(rng.uniform(-2.0f, 2.0f));
     src_f[i] = float(src_h[i]);
   }
-  std::vector<std::int8_t> codes_h(src_h.size()), codes_f(src_h.size());
-  std::vector<float> scales_h(7), scales_f(7);
+  std::vector<std::int8_t> codes_h(src_h.size()), codes_f;
+  std::vector<float> scales_h(7), scales_f;
   packed::quantize_halfs({src_h.data(), src_h.size()}, group, codes_h.data(),
                          scales_h.data());
-  packed::quantize_floats(src_f.data(), count, group, codes_f.data(),
-                          scales_f.data());
+  quantize_groups(src_f, group, codes_f, scales_f);
   EXPECT_EQ(codes_h, codes_f);
   EXPECT_EQ(0, std::memcmp(scales_h.data(), scales_f.data(),
                            scales_h.size() * sizeof(float)));
-}
-
-// ---- KvPanelCache int8 mode -------------------------------------------------
-
-TEST(KvPanelCacheInt8, QuantizesPerInstancePanels) {
-  Rng rng(9);
-  const std::int64_t kv = 2, seq = 8, d = 4;
-  TensorH k(Shape{kv, seq, d}), v(Shape{kv, seq, d});
-  k.fill_random(rng);
-  v.fill_random(rng);
-
-  const mha::KvPanelCache cache(k, v, kv, seq, d, /*transpose_k=*/true,
-                                PanelPrecision::kInt8);
-  EXPECT_EQ(cache.precision(), PanelPrecision::kInt8);
-  for (std::int64_t i = 0; i < kv; ++i) {
-    const float ks = cache.k_scale(i), vs = cache.v_scale(i);
-    ASSERT_GT(ks, 0.0f);
-    ASSERT_GT(vs, 0.0f);
-    // V panels are row-major: dequantized codes track the half source
-    // within one quantization step.
-    const std::int8_t* vq = cache.v_panel_i8(i);
-    for (std::int64_t e = 0; e < seq * d; ++e) {
-      const float want = float(v.data()[i * seq * d + e]);
-      EXPECT_NEAR(vs * float(vq[e]), want, vs * 0.502f + 1e-38f);
-    }
-    // Transposed K: element (s, c) lives at kt[c * seq + s].
-    const std::int8_t* kq = cache.kt_panel_i8(i);
-    for (std::int64_t s = 0; s < seq; ++s) {
-      for (std::int64_t c = 0; c < d; ++c) {
-        const float want = float(k.data()[(i * seq + s) * d + c]);
-        EXPECT_NEAR(ks * float(kq[c * seq + s]), want,
-                    ks * 0.502f + 1e-38f);
-      }
-    }
-  }
 }
 
 // ---- Serve KvPool int8 sidecar ----------------------------------------------

@@ -4,7 +4,8 @@
 // epilogues, batched/unbatched B, odd (non-multiple-of-block) shapes, and
 // masked/score-modified attention.  The owned-panel contract: a held
 // GemmWeight or KvPanelCache converts once, at construction, and repeated
-// calls over it convert nothing and repeat their bytes exactly.
+// calls over it convert nothing and repeat their bytes exactly; shared K/V
+// panels are bounds-checked by kv instance.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -230,20 +231,24 @@ TEST(OwnedPanels, HeldInt8WeightRepeatsThePlainTensorBytes) {
   const TensorH a = random_tensor(Shape{2, 9, 40}, 41);
   const TensorH b = random_tensor(Shape{40, 24}, 42);
   const TensorH bias = random_tensor(Shape{24}, 43);
-  TensorH c_plain(Shape{2, 9, 24});
-  ops::gemm(a, b, c_plain, Epilogue::kBias, &bias,
-            core::PanelPrecision::kInt8);
 
   telemetry::global_registry().reset();
   const ops::GemmWeight w(b, core::PanelPrecision::kInt8);
   EXPECT_EQ(counter("exec.panelcache.bytes_converted"), b.numel());
   for (int call = 0; call < 3; ++call) {
+    // Reference: a weight built afresh from the same plain tensor.
+    TensorH c_fresh(Shape{2, 9, 24});
+    ops::gemm(a, ops::GemmWeight(b, core::PanelPrecision::kInt8), c_fresh,
+              Epilogue::kBias, &bias);
+    const std::int64_t converted = counter("exec.panelcache.bytes_converted");
     TensorH c_held(Shape{2, 9, 24});
     ops::gemm(a, w, c_held, Epilogue::kBias, &bias);
-    EXPECT_TRUE(bits_equal(c_plain, c_held)) << "call " << call;
+    EXPECT_EQ(counter("exec.panelcache.bytes_converted"), converted)
+        << "call " << call;
+    EXPECT_TRUE(bits_equal(c_fresh, c_held)) << "call " << call;
   }
-  EXPECT_EQ(counter("exec.ops.gemm.int8_calls"), 3);
-  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), b.numel());
+  EXPECT_EQ(counter("exec.ops.gemm.int8_calls"), 6);
+  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), 4 * b.numel());
   telemetry::global_registry().reset();
 }
 
@@ -258,28 +263,54 @@ TEST(OwnedPanels, HeldKvPanelsConvertOnceAcrossBlockwiseCalls) {
       masks::MaskSpec{.kind = masks::PatternKind::kBigBird, .seq_len = 50}
           .build(),
       16, 16);
-  for (const auto precision :
-       {core::PanelPrecision::kFloat32, core::PanelPrecision::kInt8}) {
-    mha::BlockwiseParams params{16, 16};
-    params.kv_precision = precision;
-    const TensorH fresh =
-        mha::blockwise_attention(dims, q, k, v, bsr, params);
+  const mha::BlockwiseParams params{16, 16};
+  const TensorH fresh = mha::blockwise_attention(dims, q, k, v, bsr, params);
 
-    telemetry::global_registry().reset();
-    const mha::KvPanelCache panels(k, v, dims.kv_instances(), dims.seq_len,
-                                   dims.head_size, /*transpose_k=*/true,
-                                   precision);
-    const std::int64_t converted = counter("exec.mha.panels_converted");
-    EXPECT_EQ(converted, 2 * dims.kv_instances());
-    for (int call = 0; call < 3; ++call) {
-      const TensorH held = mha::blockwise_attention(dims, q, k, v, bsr,
-                                                    params, nullptr, &panels);
-      EXPECT_TRUE(bits_equal(fresh, held))
-          << "precision " << static_cast<int>(precision) << " call " << call;
-    }
-    EXPECT_EQ(counter("exec.mha.panels_converted"), converted);
-  }
   telemetry::global_registry().reset();
+  const mha::KvPanelCache panels(k, v, dims.kv_instances(), dims.seq_len,
+                                 dims.head_size, /*transpose_k=*/true);
+  const std::int64_t converted = counter("exec.mha.panels_converted");
+  EXPECT_EQ(converted, 2 * dims.kv_instances());
+  for (int call = 0; call < 3; ++call) {
+    const TensorH held = mha::blockwise_attention(dims, q, k, v, bsr, params,
+                                                  nullptr, &panels);
+    EXPECT_TRUE(bits_equal(fresh, held)) << "call " << call;
+  }
+  EXPECT_EQ(counter("exec.mha.panels_converted"), converted);
+  telemetry::global_registry().reset();
+}
+
+// Shared panels are indexed by kv instance: an instance outside the cache,
+// or an offset whose range [offset, offset + kv_instances) runs past the
+// cache's end, is a contract error rather than an out-of-bounds read.
+TEST(OwnedPanels, SharedPanelsOutOfRangeAreRejected) {
+  ASSERT_TRUE(packed_execution_enabled());
+  const mha::MhaDims dims{1, 2, 32, 16};
+  const TensorH q = random_tensor(dims.qkv_shape(), 61);
+  const TensorH k = random_tensor(dims.kv_shape(), 62);
+  const TensorH v = random_tensor(dims.kv_shape(), 63);
+  const auto bsr = sparse::BsrMask::build(
+      masks::MaskSpec{.kind = masks::PatternKind::kDense, .seq_len = 32}
+          .build(),
+      16, 16);
+  const mha::BlockwiseParams params{16, 16};
+  const std::int64_t instances = dims.kv_instances();
+  const mha::KvPanelCache panels(k, v, instances, dims.seq_len,
+                                 dims.head_size, /*transpose_k=*/true);
+
+  EXPECT_NO_THROW((void)mha::blockwise_attention(dims, q, k, v, bsr, params,
+                                                 nullptr, &panels, 0));
+  EXPECT_THROW((void)mha::blockwise_attention(dims, q, k, v, bsr, params,
+                                              nullptr, &panels, 1),
+               Error);
+  EXPECT_THROW((void)panels.kt_panel(instances), Error);
+  EXPECT_THROW((void)panels.v_panel(instances), Error);
+  EXPECT_THROW((void)panels.v_panel(-1), Error);
+
+  const mha::KvPanelCache row_major(k, v, instances, dims.seq_len,
+                                    dims.head_size, /*transpose_k=*/false);
+  EXPECT_NO_THROW((void)row_major.k_panel(instances - 1));
+  EXPECT_THROW((void)row_major.k_panel(instances), Error);
 }
 
 }  // namespace
