@@ -17,12 +17,12 @@
 // compiler cannot fuse them).  kernel_dispatch_test diffs every table
 // entry byte-wise against the scalar table for every ISA the host can run.
 //
-// The INT8 tier backs two opt-in paths: INT8 GEMM weights (ops::GemmWeight)
-// and the serving pool's INT8 decode sidecar.  Both quantize to symmetric
-// per-group int8 codes (scale = absmax/127, round-to-nearest-even, clamp
-// to +/-127) and reduce in exact int32 accumulation with a float epilogue
-// — int32 sums are associative, so INT8 results are identical across ISAs
-// and across any blocking schedule, just not bit-identical to FP32.
+// The INT8 tier backs one opt-in path: the serving pool's INT8 decode
+// sidecar.  It quantizes to symmetric per-group int8 codes (scale =
+// absmax/127, round-to-nearest-even, clamp to +/-127) and reduces in
+// exact int32 accumulation with a float epilogue — int32 sums are
+// associative, so INT8 results are identical across ISAs and across any
+// blocking schedule, just not bit-identical to FP32.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +37,8 @@ enum class Isa : int { kScalar = 0, kNeon = 1, kAvx2 = 2, kAvx512 = 3 };
 
 [[nodiscard]] const char* isa_name(Isa isa);
 
-/// Storage precision of a converted panel — a GEMM weight or the decode
-/// sidecar (FP32 vs quantized INT8).
+/// Storage precision of the decode sidecar's converted panels (FP32 vs
+/// quantized INT8).
 enum class PanelPrecision : int { kFloat32 = 0, kInt8 = 1 };
 
 /// One table of micro-kernel entry points.  All pointers are always
@@ -88,7 +88,7 @@ struct KernelTable {
   /// max(|x[0..n)|) over finite inputs; returns 0 for n == 0.
   float (*abs_max)(const float* x, std::int64_t n);
 
-  // ---- INT8 quantized tier (GEMM weights, decode sidecar) ------------------
+  // ---- INT8 quantized tier (decode sidecar) --------------------------------
   /// dst[i] = clamp(nearbyint(src[i] * inv_scale), -127, 127); inputs must
   /// be finite with |src*inv_scale| well below 2^31.
   void (*quantize_i8)(const float* src, std::int8_t* dst, std::int64_t n,
@@ -98,15 +98,6 @@ struct KernelTable {
                          std::int64_t n);
   /// y[i] += a * float(x[i]) (int8 -> float conversion is exact).
   void (*axpy_i8)(float* y, const std::int8_t* x, float a, std::int64_t n);
-  /// C[r,j] += (a_row_scales[r] * b_scale) * float(sum_e A8[r,e] * B8[e,j])
-  /// with exact int32 accumulation; the two-float scale product and the
-  /// int32 -> float conversion are computed identically by every ISA, so
-  /// results are deterministic (though not FP32-bit-identical).
-  void (*sgemm_i8_accumulate_ld)(const std::int8_t* a, std::int64_t lda,
-                                 const std::int8_t* b, std::int64_t ldb,
-                                 float* c, std::int64_t ldc, std::int64_t rows,
-                                 std::int64_t depth, std::int64_t cols,
-                                 const float* a_row_scales, float b_scale);
 };
 
 /// The scalar reference table (always available).

@@ -381,80 +381,6 @@ void axpy_i8_avx2(float* y, const std::int8_t* x, float a, std::int64_t n) {
   for (; i < n; ++i) y[i] += a * static_cast<float>(x[i]);
 }
 
-/// Sign-extended (a_lo, a_hi) int16 pair replicated across a ymm, for
-/// vpmaddwd against interleaved B rows.
-inline __m256i a_pair_epi32(std::int8_t lo, std::int8_t hi) {
-  const std::uint32_t pair =
-      (static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-           static_cast<std::int16_t>(hi)))
-       << 16) |
-      static_cast<std::uint16_t>(static_cast<std::int16_t>(lo));
-  return _mm256_set1_epi32(static_cast<int>(pair));
-}
-
-void sgemm_i8_accumulate_ld_avx2(const std::int8_t* a, std::int64_t lda,
-                                 const std::int8_t* b, std::int64_t ldb,
-                                 float* c, std::int64_t ldc, std::int64_t rows,
-                                 std::int64_t depth, std::int64_t cols,
-                                 const float* a_row_scales, float b_scale) {
-  // Depth pairs feed vpmaddwd: B rows e and e+1 are sign-extended to int16
-  // and interleaved per column, so each madd lane accumulates
-  // a[e]*b[e][j] + a[e+1]*b[e+1][j] exactly in int32.  The interleave
-  // shuffles column lanes into [j0-3, j8-11] / [j4-7, j12-15] order; a
-  // final 128-bit permute restores them.  int32 sums are exact, so lane
-  // order never affects results.
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float s = a_row_scales[r] * b_scale;
-    const std::int8_t* ar = a + r * lda;
-    float* cr = c + r * ldc;
-    std::int64_t j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      __m256i acc0 = _mm256_setzero_si256();
-      __m256i acc1 = _mm256_setzero_si256();
-      std::int64_t e = 0;
-      for (; e + 2 <= depth; e += 2) {
-        const __m256i b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + e * ldb + j)));
-        const __m256i b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + (e + 1) * ldb + j)));
-        const __m256i ap = a_pair_epi32(ar[e], ar[e + 1]);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_unpacklo_epi16(b0, b1), ap));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_unpackhi_epi16(b0, b1), ap));
-      }
-      if (e < depth) {
-        const __m256i b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(b + e * ldb + j)));
-        const __m256i zero = _mm256_setzero_si256();
-        const __m256i ap = a_pair_epi32(ar[e], 0);
-        acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_unpacklo_epi16(b0, zero), ap));
-        acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_unpackhi_epi16(b0, zero), ap));
-      }
-      const __m256i q0 = _mm256_permute2x128_si256(acc0, acc1, 0x20);
-      const __m256i q1 = _mm256_permute2x128_si256(acc0, acc1, 0x31);
-      const __m256 vs = _mm256_set1_ps(s);
-      _mm256_storeu_ps(
-          cr + j, _mm256_add_ps(_mm256_loadu_ps(cr + j),
-                                _mm256_mul_ps(vs, _mm256_cvtepi32_ps(q0))));
-      _mm256_storeu_ps(
-          cr + j + 8,
-          _mm256_add_ps(_mm256_loadu_ps(cr + j + 8),
-                        _mm256_mul_ps(vs, _mm256_cvtepi32_ps(q1))));
-    }
-    for (; j < cols; ++j) {
-      std::int32_t acc = 0;
-      for (std::int64_t e = 0; e < depth; ++e) {
-        acc += static_cast<std::int32_t>(ar[e]) *
-               static_cast<std::int32_t>(b[e * ldb + j]);
-      }
-      cr[j] += s * static_cast<float>(acc);
-    }
-  }
-}
-
 }  // namespace
 
 void fill_avx2(KernelTable& table) {
@@ -471,7 +397,6 @@ void fill_avx2(KernelTable& table) {
   table.quantize_i8 = quantize_i8_avx2;
   table.dot_i8 = dot_i8_avx2;
   table.axpy_i8 = axpy_i8_avx2;
-  table.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_avx2;
 }
 
 }  // namespace stof::core::detail

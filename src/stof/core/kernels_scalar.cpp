@@ -204,27 +204,6 @@ void axpy_i8_scalar(float* y, const std::int8_t* x, float a, std::int64_t n) {
   }
 }
 
-void sgemm_i8_accumulate_ld_scalar(const std::int8_t* a, std::int64_t lda,
-                                   const std::int8_t* b, std::int64_t ldb,
-                                   float* c, std::int64_t ldc,
-                                   std::int64_t rows, std::int64_t depth,
-                                   std::int64_t cols,
-                                   const float* a_row_scales, float b_scale) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float s = a_row_scales[r] * b_scale;
-    const std::int8_t* ar = a + r * lda;
-    float* cr = c + r * ldc;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      std::int32_t acc = 0;
-      for (std::int64_t e = 0; e < depth; ++e) {
-        acc += static_cast<std::int32_t>(ar[e]) *
-               static_cast<std::int32_t>(b[e * ldb + j]);
-      }
-      cr[j] += s * static_cast<float>(acc);
-    }
-  }
-}
-
 }  // namespace
 
 const KernelTable& scalar_kernel_table() {
@@ -244,7 +223,6 @@ const KernelTable& scalar_kernel_table() {
     t.quantize_i8 = quantize_i8_scalar;
     t.dot_i8 = dot_i8_scalar;
     t.axpy_i8 = axpy_i8_scalar;
-    t.sgemm_i8_accumulate_ld = sgemm_i8_accumulate_ld_scalar;
     return t;
   }();
   return table;

@@ -96,10 +96,10 @@ void sgemm_accumulate_ld(const float* a, std::int64_t lda, const float* b,
 
 // ---- INT8 quantized panel tier ---------------------------------------------
 //
-// Symmetric per-group quantization for INT8 GEMM weights and the decode
-// sidecar: scale = absmax/127 (with a degenerate all-zero fallback for
-// vanishing groups, see core::quant_params), codes rounded to nearest-even
-// and clamped to +/-127.  Codes and scales are a pure function of the
+// Symmetric per-group quantization for the decode sidecar's INT8 tier:
+// scale = absmax/127 (with a degenerate all-zero fallback for vanishing
+// groups, see core::quant_params), codes rounded to nearest-even and
+// clamped to +/-127.  Codes and scales are a pure function of the
 // source values — identical across ISAs, schedules, and re-conversions —
 // so INT8 execution stays deterministic even though it is not
 // bit-identical to FP32.

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "stof/core/check.hpp"
-#include "stof/core/kernels.hpp"
 #include "stof/core/packed.hpp"
 #include "stof/gpusim/occupancy.hpp"
 #include "stof/parallel/parallel_for.hpp"
@@ -109,54 +108,6 @@ void run_packed(const GemmView& v, const float* b_pack) {
   });
 }
 
-/// INT8 twin of run_packed: activations quantize per row (scale group =
-/// k) straight from the half panel, the weight codes stream from the
-/// GemmWeight's INT8 panel with one scale per (k, n) panel, and the int8
-/// GEMM micro-kernel accumulates in exact int32 before the FP32
-/// scale/epilogue.  Deterministic across ISAs; not bit-identical to
-/// the FP32 path.
-void run_packed_int8(const GemmView& v, const std::int8_t* b_codes,
-                     const float* b_scales) {
-  const std::int64_t a_rows = v.batch * v.m;
-  std::vector<std::int8_t> a8(static_cast<std::size_t>(a_rows * v.k));
-  std::vector<float> a_scales(static_cast<std::size_t>(a_rows));
-  packed::quantize_halfs({v.a, a8.size()}, v.k, a8.data(), a_scales.data());
-  std::vector<float> bias_pack;
-  if (v.epilogue != Epilogue::kNone) {
-    bias_pack.resize(static_cast<std::size_t>(v.n));
-    packed::half_to_float({v.bias, bias_pack.size()}, bias_pack);
-  }
-
-  constexpr std::int64_t kRowBlock = 64;
-  const std::int64_t m_blocks = (v.m + kRowBlock - 1) / kRowBlock;
-  const core::KernelTable& kt = core::kernels();
-  parallel_for(0, v.batch * m_blocks, [&](std::int64_t task) {
-    const std::int64_t bi = task / m_blocks;
-    const std::int64_t row_lo = (task % m_blocks) * kRowBlock;
-    const std::int64_t rows = std::min(kRowBlock, v.m - row_lo);
-
-    std::vector<float> acc(static_cast<std::size_t>(rows * v.n), 0.0f);
-    const std::int8_t* a_panel = a8.data() + (bi * v.m + row_lo) * v.k;
-    const std::int8_t* b_panel = b_codes + (v.batched_b ? bi * v.k * v.n : 0);
-    core::note_kernel_dispatch("sgemm_i8_accumulate_ld");
-    kt.sgemm_i8_accumulate_ld(a_panel, v.k, b_panel, v.n, acc.data(), v.n,
-                              rows, v.k, v.n,
-                              a_scales.data() + bi * v.m + row_lo,
-                              b_scales[v.batched_b ? bi : 0]);
-
-    if (v.epilogue != Epilogue::kNone) {
-      for (std::int64_t r = 0; r < rows; ++r) {
-        float* acc_row = acc.data() + r * v.n;
-        for (std::int64_t ni = 0; ni < v.n; ++ni) {
-          acc_row[ni] = apply_epilogue(acc_row[ni], v.epilogue,
-                                       bias_pack[static_cast<std::size_t>(ni)]);
-        }
-      }
-    }
-    packed::float_to_half(acc, {v.c + (bi * v.m + row_lo) * v.n, acc.size()});
-  });
-}
-
 GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
                   Epilogue epilogue, const TensorH* bias) {
   STOF_EXPECTS(a.shape().rank() == 3, "A must be (batch, m, k)");
@@ -189,23 +140,12 @@ GemmView validate(const TensorH& a, const TensorH& b, TensorH& c,
 /// MAC counts depend only on the problem shape, so `sim.ops.gemm_macs` is
 /// identical whichever implementation runs; the `exec.ops.*` counters say
 /// which one did.
-void record_gemm_dispatch(const GemmView& v, bool packed,
-                          bool int8_weights) {
+void record_gemm_dispatch(const GemmView& v, bool packed) {
   if (!telemetry::enabled()) return;
   telemetry::count("sim.ops.gemm_calls");
   telemetry::count("sim.ops.gemm_macs", v.batch * v.m * v.n * v.k);
   telemetry::count(packed ? "exec.ops.gemm.packed_calls"
                           : "exec.ops.gemm.scalar_calls");
-  if (int8_weights) telemetry::count("exec.ops.gemm.int8_calls");
-}
-
-/// Packed kernel over `b`'s panel at its precision.
-void run_packed(const GemmView& v, const GemmWeight& b) {
-  if (b.precision() == core::PanelPrecision::kInt8) {
-    run_packed_int8(v, b.codes(), b.scales());
-  } else {
-    run_packed(v, b.values());
-  }
 }
 
 /// The one dispatch behind gemm() and matmul2d(): accounting, then the
@@ -213,10 +153,7 @@ void run_packed(const GemmView& v, const GemmWeight& b) {
 /// weight; the packed path then builds B's FP32 panel for this call.
 void dispatch(const GemmView& v, const TensorH& b, const GemmWeight* weight) {
   const bool packed = packed_execution_enabled();
-  record_gemm_dispatch(
-      v, packed,
-      packed && weight != nullptr &&
-          weight->precision() == core::PanelPrecision::kInt8);
+  record_gemm_dispatch(v, packed);
   telemetry::ScopedTimer timer("wall.ops.gemm_us");
   if (!packed) {
     run_scalar(v);
@@ -224,7 +161,7 @@ void dispatch(const GemmView& v, const TensorH& b, const GemmWeight* weight) {
   }
   std::optional<GemmWeight> call_weight;
   if (weight == nullptr) weight = &call_weight.emplace(b);
-  run_packed(v, *weight);
+  run_packed(v, weight->values());
 }
 
 GemmView validate_2d(const TensorH& x, const TensorH& w, TensorH& y) {
@@ -243,25 +180,12 @@ GemmView validate_2d(const TensorH& x, const TensorH& w, TensorH& y) {
 
 }  // namespace
 
-GemmWeight::GemmWeight(TensorH b, core::PanelPrecision precision)
-    : b_(std::move(b)), precision_(precision) {
+GemmWeight::GemmWeight(TensorH b) : b_(std::move(b)) {
   STOF_EXPECTS(b_.shape().rank() == 2 || b_.shape().rank() == 3,
                "B must be (k, n) or (batch, k, n)");
-  const auto total = static_cast<std::size_t>(b_.numel());
-  const bool int8 = precision_ == core::PanelPrecision::kInt8;
-  if (int8) {
-    // One scale per (k, n) panel: per batch instance when B is batched.
-    const std::int64_t batch = b_.shape().rank() == 3 ? b_.shape()[0] : 1;
-    codes_.resize(total);
-    scales_.resize(static_cast<std::size_t>(batch));
-    packed::quantize_halfs(b_.data(), b_.numel() / batch, codes_.data(),
-                           scales_.data());
-  } else {
-    values_.resize(total);
-    packed::half_to_float(b_.data(), values_);
-  }
-  telemetry::count("exec.panelcache.bytes_converted",
-                   (int8 ? 1 : 2) * b_.numel());
+  values_.resize(static_cast<std::size_t>(b_.numel()));
+  packed::half_to_float(b_.data(), values_);
+  telemetry::count("exec.panelcache.bytes_converted", 2 * b_.numel());
 }
 
 void gemm(const TensorH& a, const GemmWeight& b, TensorH& c,
@@ -281,7 +205,7 @@ void gemm_scalar(const TensorH& a, const TensorH& b, TensorH& c,
 
 void gemm_packed(const TensorH& a, const GemmWeight& b, TensorH& c,
                  Epilogue epilogue, const TensorH* bias) {
-  run_packed(validate(a, b.tensor(), c, epilogue, bias), b);
+  run_packed(validate(a, b.tensor(), c, epilogue, bias), b.values());
 }
 
 void matmul2d(const TensorH& x, const GemmWeight& w, TensorH& y) {

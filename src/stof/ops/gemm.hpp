@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "stof/core/kernels.hpp"
 #include "stof/core/tensor.hpp"
 #include "stof/gpusim/cost.hpp"
 #include "stof/gpusim/device.hpp"
@@ -42,53 +41,35 @@ struct GemmParams {
 enum class Epilogue { kNone, kBias, kBiasRelu, kBiasGelu };
 
 /// A GEMM B operand ((k, n) or (batch, k, n)) converted once into the
-/// packed engine's format.  It holds the half tensor the scalar path reads
-/// plus its panel at one precision:
-///   * kFloat32 (default) — FP32 values; products are bit-identical to
-///     gemm_scalar.
-///   * kInt8 — symmetric codes with one scale per (k, n) panel.  The main
-///     loop runs int8 dot products with exact int32 accumulation and
-///     quantizes activations per row on the fly.  Results are
-///     deterministic across ISAs and schedules but carry quantization
-///     error, so callers opt in explicitly.  Scalar execution ignores the
-///     tier (it is the FP32 reference).
+/// packed engine's format: the half tensor the scalar path reads plus its
+/// FP32 panel, so packed products are bit-identical to gemm_scalar.
 /// Models build their weights as GemmWeights at load and keep them for
 /// their lifetime.  Access is const only: a weight's half source and its
 /// panel cannot drift apart after load.  Each construction counts its
-/// panel in `exec.panelcache.bytes_converted` (2 B per element for FP32,
-/// 1 B for INT8).
+/// panel in `exec.panelcache.bytes_converted` (2 B per element).
 class GemmWeight {
  public:
   GemmWeight() = default;
-  explicit GemmWeight(TensorH b, core::PanelPrecision precision =
-                                     core::PanelPrecision::kFloat32);
+  explicit GemmWeight(TensorH b);
 
   [[nodiscard]] const TensorH& tensor() const { return b_; }
-  [[nodiscard]] core::PanelPrecision precision() const { return precision_; }
-  /// FP32 panel, row-major like the half source (kFloat32 only).
+  /// FP32 panel, row-major like the half source.
   [[nodiscard]] const float* values() const { return values_.data(); }
-  /// INT8 codes and one scale per (k, n) panel (kInt8 only).
-  [[nodiscard]] const std::int8_t* codes() const { return codes_.data(); }
-  [[nodiscard]] const float* scales() const { return scales_.data(); }
 
  private:
   TensorH b_;
-  core::PanelPrecision precision_ = core::PanelPrecision::kFloat32;
   std::vector<float> values_;
-  std::vector<std::int8_t> codes_;
-  std::vector<float> scales_;
 };
 
 /// C = A x B with optional epilogue.
 /// A: (batch, m, k); B: (k, n) shared across the batch or (batch, k, n);
 /// C: (batch, m, n); bias: (n) when the epilogue uses it.
-/// Dispatches to the packed engine, reading B's panel at its precision,
-/// unless scalar execution was selected via stof::set_packed_execution.
+/// Dispatches to the packed engine, reading B's FP32 panel, unless scalar
+/// execution was selected via stof::set_packed_execution.
 void gemm(const TensorH& a, const GemmWeight& b, TensorH& c,
           Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
 
 /// Plain-tensor B: the packed path builds B's FP32 panel for this call.
-/// INT8 weights are selected only through GemmWeight.
 void gemm(const TensorH& a, const TensorH& b, TensorH& c,
           Epilogue epilogue = Epilogue::kNone, const TensorH* bias = nullptr);
 

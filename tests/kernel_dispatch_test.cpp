@@ -269,34 +269,5 @@ TEST(KernelDispatch, Int8TierAgreesExactlyAcrossIsas) {
   }
 }
 
-TEST(KernelDispatch, Int8GemmIsDeterministicAcrossIsas) {
-  const std::int64_t rows = 9, depth = 37, cols = 21;
-  const std::int64_t lda = depth, ldb = cols + 3, ldc = cols;
-  Rng rng(606);
-  std::vector<std::int8_t> a(static_cast<std::size_t>(rows * lda));
-  std::vector<std::int8_t> b(static_cast<std::size_t>(depth * ldb));
-  for (auto& v : a) {
-    v = static_cast<std::int8_t>(
-        static_cast<std::int64_t>(rng.next_below(255)) - 127);
-  }
-  for (auto& v : b) {
-    v = static_cast<std::int8_t>(
-        static_cast<std::int64_t>(rng.next_below(255)) - 127);
-  }
-  const auto a_scales = random_floats(rows, 707);
-  auto ref = random_floats(rows * ldc, 808);
-  const auto init = ref;
-  scalar_kernel_table().sgemm_i8_accumulate_ld(a.data(), lda, b.data(), ldb,
-                                               ref.data(), ldc, rows, depth,
-                                               cols, a_scales.data(), 0.031f);
-  for (const Isa isa : simd_isas()) {
-    auto got = init;
-    kernel_table_for(isa).sgemm_i8_accumulate_ld(
-        a.data(), lda, b.data(), ldb, got.data(), ldc, rows, depth, cols,
-        a_scales.data(), 0.031f);
-    EXPECT_TRUE(bytes_equal(ref, got)) << isa_name(isa);
-  }
-}
-
 }  // namespace
 }  // namespace stof::core

@@ -226,20 +226,20 @@ static_assert(std::is_same_v<decltype(std::declval<ops::GemmWeight&>()
                                           .tensor()),
                              const TensorH&>);
 
-TEST(OwnedPanels, HeldInt8WeightRepeatsThePlainTensorBytes) {
+TEST(OwnedPanels, HeldWeightConvertsOnceAndRepeatsThePlainTensorBytes) {
+  ASSERT_TRUE(packed_execution_enabled());
   telemetry::ScopedTelemetry on(true);
   const TensorH a = random_tensor(Shape{2, 9, 40}, 41);
   const TensorH b = random_tensor(Shape{40, 24}, 42);
   const TensorH bias = random_tensor(Shape{24}, 43);
 
   telemetry::global_registry().reset();
-  const ops::GemmWeight w(b, core::PanelPrecision::kInt8);
-  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), b.numel());
+  const ops::GemmWeight w(b);
+  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), 2 * b.numel());
   for (int call = 0; call < 3; ++call) {
     // Reference: a weight built afresh from the same plain tensor.
     TensorH c_fresh(Shape{2, 9, 24});
-    ops::gemm(a, ops::GemmWeight(b, core::PanelPrecision::kInt8), c_fresh,
-              Epilogue::kBias, &bias);
+    ops::gemm(a, ops::GemmWeight(b), c_fresh, Epilogue::kBias, &bias);
     const std::int64_t converted = counter("exec.panelcache.bytes_converted");
     TensorH c_held(Shape{2, 9, 24});
     ops::gemm(a, w, c_held, Epilogue::kBias, &bias);
@@ -247,8 +247,8 @@ TEST(OwnedPanels, HeldInt8WeightRepeatsThePlainTensorBytes) {
         << "call " << call;
     EXPECT_TRUE(bits_equal(c_fresh, c_held)) << "call " << call;
   }
-  EXPECT_EQ(counter("exec.ops.gemm.int8_calls"), 6);
-  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), 4 * b.numel());
+  EXPECT_EQ(counter("exec.ops.gemm.packed_calls"), 6);
+  EXPECT_EQ(counter("exec.panelcache.bytes_converted"), 8 * b.numel());
   telemetry::global_registry().reset();
 }
 
